@@ -160,11 +160,18 @@ def select_operator(surrogate: StateVector, h: PauliSum, pool: list[PoolOperator
     if not candidates:
         raise ValueError("empty candidate set: every pool operator is excluded")
     grads = pool_gradients(surrogate, h, pool)
-    best = candidates[0]
-    for i in candidates[1:]:
-        if abs(grads[i]) > abs(grads[best]):
-            best = i
-    return best, grads
+    return candidates[_first_largest(np.abs(grads[candidates]))], grads
+
+
+def _first_largest(mags: np.ndarray) -> int:
+    """Index of the first entry within rounding (1e-12 relative) of the max.
+
+    Symmetric systems give pool operators exactly equal gradients, and their
+    last bits depend on summation order; treating them as ties keeps the
+    lowest-index rule independent of how the operators are applied.
+    """
+    top = mags.max()
+    return int(np.argmax(mags >= top - 1e-12 * max(1.0, top)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +335,9 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
         single = BasisRecipe((product.steps[-1],))
         new_recipes = [BasisRecipe(), single] if k == 1 else [single, product]
         for recipe in new_recipes:
-            if basis.append(recipe):
+            # the surrogate is the product recipe's state, built by the same
+            # exp_apply calls in the same order as prepare_state would make
+            if basis.append(recipe, state=surrogate if recipe == product else None):
                 mats.add_state(basis.states[-1])
 
         result = solve_gevp(mats.h_mat, mats.s_mat, config.s_threshold,
@@ -419,7 +428,7 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
             trace.reason = "gradient_norm"
             break
 
-        sel = int(np.argmax(np.abs(grads)))
+        sel = _first_largest(np.abs(grads))
         recipe = recipe.extended(sel, 0.0)
         thetas = np.append(thetas, 0.0)
 
@@ -435,7 +444,7 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
         if gcim_each_iteration:
             if basis.append(BasisRecipe((recipe.steps[-1],))):
                 mats.add_state(basis.states[-1])
-            if basis.append(recipe, dedupe=False):
+            if basis.append(recipe, dedupe=False, state=state):
                 mats.add_state(basis.states[-1])
             result = solve_gevp(mats.h_mat, mats.s_mat, config.s_threshold,
                                 jitter=config.jitter)
@@ -504,7 +513,7 @@ def run_adapt_vqe_gcim_one_shot(h: PauliSum, pool: list[PoolOperator],
     for step in recipe.steps:
         basis.append(BasisRecipe((step,)), dedupe=False)
     if len(recipe) > 0:
-        basis.append(recipe, dedupe=False)
+        basis.append(recipe, dedupe=False, state=trace.final_state)
     if len(basis) == 0:
         return trace
     h_mat, s_mat = build_matrices(basis, h)

@@ -106,14 +106,16 @@ class PauliSum:
 
     Terms with |coefficient| < COEFF_CUTOFF are dropped on simplify().
     Instances are treated as immutable once built; all algebra returns
-    new objects.
+    new objects.  That is what lets statevector cache its compiled matrix
+    form in the ``_compiled`` slot on first use.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    __slots__ = ("n_qubits", "terms", "_compiled")
 
     def __init__(self, n_qubits: int, terms: dict[PauliString, complex] | None = None):
         self.n_qubits = n_qubits
         self.terms: dict[PauliString, complex] = {}
+        self._compiled = None
         if terms:
             for p, c in terms.items():
                 if p.n != n_qubits:

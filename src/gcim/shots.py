@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pauli import PauliSum
-from .statevector import apply_paulisum
+from .statevector import pauli_decomposition
 from .subspace import (
     DEFAULT_S_THRESHOLD,
     NOISY_S_THRESHOLD,
@@ -83,18 +83,14 @@ def exact_decomposition(basis: SubspaceBasis, h: PauliSum, i: int, j: int,
     The noise model perturbs around these exact values.  Coefficients and
     entries must be real to imag_tol (real integrals, real rotations).
     """
-    bra, ket = basis.states[i], basis.states[j]
-    coeffs, ps = [], []
-    for p, c in h.sorted_terms():
-        if abs(c.imag) > imag_tol:
-            raise ValueError(f"complex Hamiltonian coefficient {c} unsupported")
-        val = np.vdot(bra.amplitudes, apply_paulisum(PauliSum(h.n_qubits, {p: 1.0}),
-                                                     ket).amplitudes)
-        if abs(val.imag) > imag_tol:
-            raise ValueError(f"entry expectation has imaginary part {val.imag:.2e}")
-        coeffs.append(c.real)
-        ps.append(val.real)
-    return EntryEstimator(np.array(coeffs), np.array(ps))
+    coeffs, ps = pauli_decomposition(basis.states[i], h, basis.states[j])
+    bad = np.abs(coeffs.imag) > imag_tol
+    if bad.any():
+        raise ValueError(f"complex Hamiltonian coefficient {coeffs[bad][0]} unsupported")
+    bad = np.abs(ps.imag) > imag_tol
+    if bad.any():
+        raise ValueError(f"entry expectation has imaginary part {ps.imag[bad][0]:.2e}")
+    return EntryEstimator(coeffs.real, ps.real)
 
 
 def overlap_decomposition(basis: SubspaceBasis, i: int, j: int,

@@ -1,46 +1,140 @@
 """Exact statevector engine.
 
 Convention: bit j of a statevector index is the occupation of spin orbital
-j (qubit 0 least significant).  Operators are applied term-by-term from
-their Pauli decomposition without materializing 2^n x 2^n matrices; the
-dense path exists separately as an oracle (pauli.jw_to_matrix).
+j (qubit 0 least significant).  Each PauliSum is compiled on first use to a
+sparse CSR matrix over the 2^n basis, real whenever every entry is real (as
+for all FCIDUMP input), and cached on the instance.  Generator exponentials
+are exact: the compiled generator splits into small connected blocks, each
+eigendecomposed once, so exp(theta * A) is one batched product per block
+size.  The dense path exists separately as an oracle (pauli.jw_to_matrix).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .pauli import PauliSum, ResourceLimitError, jw_to_matrix
+from .pauli import PauliSum, ResourceLimitError
 
-TAYLOR_TERM_CUTOFF = 1e-14
 _DENSE_EIG_MAX_QUBITS = 10
-
-_HAS_BITCOUNT = hasattr(np, "bitwise_count")
-
-
-@lru_cache(maxsize=64)
-def _index_vector(n: int) -> np.ndarray:
-    return np.arange(1 << n, dtype=np.int64)
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-@lru_cache(maxsize=2048)
-def _sign_vector(zmask: int, n: int) -> np.ndarray:
-    """(-1)^popcount(index & zmask) for every basis index."""
-    idx = _index_vector(n)
-    if _HAS_BITCOUNT:
-        parity = np.bitwise_count(idx & zmask) & 1
-    else:
-        parity = np.zeros(idx.shape, dtype=np.int64)
-        m = zmask
-        while m:
-            b = m & -m
-            parity ^= (idx & b) != 0
-            m ^= b
-    return 1.0 - 2.0 * parity
+def _signs(idx: np.ndarray, z) -> np.ndarray:
+    """(-1)^popcount(index & z) for every basis index (z may be a column)."""
+    return 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
+
+
+class _Compiled:
+    """Compiled form of one PauliSum; the parts past the matrix are built
+    the first time exp_apply or pauli_decomposition needs them."""
+
+    __slots__ = ("matrix", "blocks", "terms")
+
+    def __init__(self, matrix: sp.csr_array):
+        self.matrix = matrix
+        self.blocks = None   # generator blocks, see _generator_blocks
+        self.terms = None    # label-sorted strings, see pauli_decomposition
+
+
+def _compiled(h: PauliSum) -> _Compiled:
+    if h._compiled is None:
+        h._compiled = _Compiled(_compile_matrix(h))
+    return h._compiled
+
+
+def _compile_matrix(h: PauliSum) -> sp.csr_array:
+    """CSR matrix of h, one X-mask group at a time.
+
+    All strings sharing an X mask x map basis state j to j ^ x, so a group
+    contributes one entry per column: the sum of its c * i^y * (-1)^(j.z).
+    Entries that cancel to exactly zero are dropped.  The sign patterns of
+    distinct z are linearly independent, so every entry is real exactly when
+    every c * i^y is, and then the matrix is stored real.
+    """
+    dim = 1 << h.n_qubits
+    idx = np.arange(dim, dtype=np.int32)
+    groups: dict[int, list[tuple[int, complex]]] = {}
+    for p, c in h.terms.items():
+        groups.setdefault(p.x, []).append((p.z, c * _I_POWERS[p.y_count % 4]))
+    real = all(f.imag == 0 for g in groups.values() for _, f in g)
+    dtype = np.float64 if real else np.complex128
+
+    def entries():
+        # recomputed per pass, so only one group's entries are held at a time
+        for x, factors in groups.items():
+            vals = np.zeros(dim, dtype=dtype)
+            for z, f in factors:
+                vals += (f.real if real else f) * _signs(idx, z)
+            cols = np.flatnonzero(vals).astype(np.int32)
+            yield cols ^ x, cols, vals[cols]
+
+    row_counts = np.zeros(dim, dtype=np.int32)
+    for rows, _, _ in entries():
+        row_counts[rows] += 1
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(row_counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=dtype)
+    fill = indptr[:-1].copy()
+    for rows, cols, vals in entries():
+        pos = fill[rows]
+        indices[pos] = cols
+        data[pos] = vals
+        fill[rows] += 1
+    return sp.csr_array((data, indices, indptr), shape=(dim, dim))
+
+
+def _matvec(mat: sp.csr_array, amps: np.ndarray) -> np.ndarray:
+    """mat @ amps for contiguous complex amps.
+
+    A real mat acts on the real and imaginary parts as two columns, so no
+    complex copy of its entries is made.
+    """
+    if mat.dtype == np.complex128:
+        return mat @ amps
+    return (mat @ amps.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+
+def _generator_blocks(a: sp.csr_array) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigendecomposed connected blocks of a compiled generator.
+
+    One entry per block size s: the basis indices (B, s) of the B blocks of
+    that size, and the eigenvalues (B, s) and eigenvectors (B, s, s) of the
+    Hermitian i*A on each block; for a real A only the upper s - s//2 of
+    them.  States A does not touch are left out.
+    """
+    coo = a.tocoo()
+    r, c = coo.row, coo.col
+    # label propagation rather than scipy.sparse.csgraph, whose import alone
+    # adds about 1 MiB of resident memory: each state takes its smallest
+    # neighbour label until no label changes
+    labels = np.arange(a.shape[0])
+    while True:
+        nxt = labels.copy()
+        np.minimum.at(nxt, r, labels[c])
+        np.minimum.at(nxt, c, labels[r])
+        if np.array_equal(nxt, labels):
+            break
+        labels = nxt
+    states = np.unique(np.concatenate((r, c)))
+    _, sizes = np.unique(labels[states], return_counts=True)
+    grouped = states[np.argsort(labels[states], kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    out = []
+    for s in np.unique(sizes):
+        index = grouped[starts[sizes == s][:, None] + np.arange(s)]
+        block = a[np.repeat(index, s, axis=1).ravel(), np.tile(index, s).ravel()]
+        w, v = np.linalg.eigh(1j * block.reshape(-1, s, s))
+        if a.dtype == np.float64:
+            # for real A each eigenvector at w > 0 pairs with its conjugate
+            # at -w, so the upper half of the ascending spectrum suffices
+            w, v = w[:, s // 2:].copy(), v[:, :, s // 2:].copy()
+        out.append((index.astype(np.int32), w, v))
+    return out
 
 
 @dataclass(frozen=True)
@@ -108,33 +202,22 @@ def hf_state(n_qubits: int, n_alpha: int, n_beta: int) -> StateVector:
     return StateVector.basis_state(n_qubits, index)
 
 
-def _apply_terms(h: PauliSum, amps: np.ndarray) -> np.ndarray:
-    n = h.n_qubits
-    out = np.zeros_like(amps)
-    idx = _index_vector(n)
-    for p, c in h.terms.items():
-        vals = (c * (1j) ** p.y_count) * (_sign_vector(p.z, n) * amps)
-        if p.x == 0:
-            out += vals
-        else:
-            out[idx ^ p.x] += vals
-    return out
-
-
 def apply_paulisum(h: PauliSum, v: StateVector) -> StateVector:
-    """h|v>, term by term; the result is in general unnormalized."""
+    """h|v> by the compiled matrix; the result is in general unnormalized."""
     if h.n_qubits != v.n_qubits:
         raise ValueError("register size mismatch")
-    return StateVector.from_array(_apply_terms(h, v.amplitudes))
+    return StateVector.from_array(_matvec(_compiled(h).matrix, v.amplitudes))
 
 
-def exp_apply(a: PauliSum, theta: float, v: StateVector,
-              max_terms: int = 400) -> StateVector:
-    """exp(theta * a)|v> by adaptive truncated Taylor series.
+def exp_apply(a: PauliSum, theta: float, v: StateVector) -> StateVector:
+    """exp(theta * a)|v>, exact to rounding.
 
-    a must be anti-Hermitian (checked to 1e-12); the series is extended
-    until the appended term's norm drops below 1e-14, which preserves the
-    input norm to ~1e-12.
+    a must be anti-Hermitian (checked to 1e-12).  With i*a = V diag(w) V^H
+    on each connected block of a's matrix, exp(theta * a) = V diag(e^{-i
+    theta w}) V^H there and the identity elsewhere.  A real generator's
+    eigenvectors come in conjugate pairs at -w and w, so its block
+    exponentials are the real matrices I + 2 Re(V diag(e^{-i theta w} - 1)
+    V^H) over w >= 0 alone, and real amplitudes stay exactly real.
     """
     if a.n_qubits != v.n_qubits:
         raise ValueError("register size mismatch")
@@ -142,14 +225,18 @@ def exp_apply(a: PauliSum, theta: float, v: StateVector,
         raise ValueError("generator is not anti-Hermitian")
     if theta == 0.0 or not a.terms:
         return v
-    acc = v.amplitudes.copy()
-    term = v.amplitudes
-    for k in range(1, max_terms + 1):
-        term = (theta / k) * _apply_terms(a, term)
-        acc += term
-        if np.linalg.norm(term) < TAYLOR_TERM_CUTOFF:
-            return StateVector.from_array(acc)
-    raise RuntimeError(f"Taylor series did not converge in {max_terms} terms")
+    comp = _compiled(a)
+    if comp.blocks is None:
+        comp.blocks = _generator_blocks(comp.matrix)
+    real = comp.matrix.dtype == np.float64
+    amps = v.amplitudes.copy()
+    for index, w, vecs in comp.blocks:
+        phase = np.expm1(-1j * theta * w) if real else np.exp(-1j * theta * w)
+        u = (vecs * phase[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        if real:
+            u = np.eye(u.shape[-1]) + 2.0 * u.real
+        amps[index] = (u @ amps[index][..., None])[..., 0]
+    return StateVector.from_array(amps)
 
 
 def expectation(bra: StateVector, h: PauliSum | None, ket: StateVector) -> complex:
@@ -160,11 +247,42 @@ def expectation(bra: StateVector, h: PauliSum | None, ket: StateVector) -> compl
         return bra.inner(ket)
     if h.n_qubits != ket.n_qubits:
         raise ValueError("register size mismatch")
-    return complex(np.vdot(bra.amplitudes, _apply_terms(h, ket.amplitudes)))
+    return complex(np.vdot(bra.amplitudes, _matvec(_compiled(h).matrix, ket.amplitudes)))
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
     return expectation(a, None, b)
+
+
+def pauli_decomposition(bra: StateVector, h: PauliSum, ket: StateVector
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c_k and unit-string expectations <bra|P_k|ket> of h.
+
+    Both arrays follow h.sorted_terms() order, so <bra|h|ket> = sum c_k p_k.
+    The strings sharing an X mask x are evaluated together: each is a signed
+    sum over the one product conj(bra[j ^ x]) * ket[j].
+    """
+    if not bra.n_qubits == ket.n_qubits == h.n_qubits:
+        raise ValueError("register size mismatch")
+    comp = _compiled(h)
+    if comp.terms is None:
+        ordered = h.sorted_terms()
+        groups: dict[int, list[int]] = {}
+        for k, (p, _) in enumerate(ordered):
+            groups.setdefault(p.x, []).append(k)
+        comp.terms = (
+            np.array([c for _, c in ordered], dtype=complex),
+            [(x, np.array(ks),
+              np.array([ordered[k][0].z for k in ks])[:, None],
+              _I_POWERS[[ordered[k][0].y_count % 4 for k in ks]])
+             for x, ks in groups.items()])
+    coeffs, groups = comp.terms
+    idx = np.arange(1 << h.n_qubits)
+    values = np.empty(coeffs.size, dtype=complex)
+    for x, ks, z, phase in groups:
+        prod = np.conj(bra.amplitudes[idx ^ x]) * ket.amplitudes
+        values[ks] = phase * (_signs(idx, z) @ prod)
+    return coeffs, values
 
 
 @dataclass(frozen=True)
@@ -176,10 +294,10 @@ class ExactSpectrum:
 
 
 def exact_spectrum(h: PauliSum, k: int = 1) -> ExactSpectrum:
-    """Lowest k eigenpairs of a Hermitian PauliSum.
+    """Lowest k eigenpairs of a Hermitian PauliSum, from its compiled matrix.
 
-    Dense eigensolve up to 10 qubits; restarted Krylov (ARPACK, full
-    reorthogonalization) above.  Residuals are verified to 1e-9.
+    Dense eigensolve up to 10 qubits; restarted Krylov (ARPACK) above.
+    Residuals are verified to 1e-9.
     """
     n = h.n_qubits
     if n > 16:
@@ -188,21 +306,18 @@ def exact_spectrum(h: PauliSum, k: int = 1) -> ExactSpectrum:
         raise ValueError("Hamiltonian is not Hermitian")
     dim = 1 << n
     k = min(k, dim)
+    mat = _compiled(h).matrix
     if n <= _DENSE_EIG_MAX_QUBITS or k >= dim - 1:
-        mat = jw_to_matrix(h)
-        evals, evecs = np.linalg.eigh(mat)
+        evals, evecs = np.linalg.eigh(mat.toarray())
         vals = evals[:k]
         ground = evecs[:, 0]
     else:
-        op = spla.LinearOperator(
-            (dim, dim), matvec=lambda x: _apply_terms(h, x.astype(complex)),
-            dtype=complex)
-        evals, evecs = spla.eigsh(op, k=max(k, 2), which="SA")
+        evals, evecs = spla.eigsh(mat, k=max(k, 2), which="SA")
         order = np.argsort(evals)
         vals = evals[order][:k]
         ground = evecs[:, order[0]]
     ground = ground / np.linalg.norm(ground)
-    resid = np.linalg.norm(_apply_terms(h, ground) - vals[0] * ground)
+    resid = np.linalg.norm(mat @ ground - vals[0] * ground)
     if resid > 1e-9:
         raise RuntimeError(f"eigensolver residual {resid:.3e} exceeds 1e-9")
     return ExactSpectrum(np.asarray(vals, dtype=float),

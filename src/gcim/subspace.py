@@ -82,12 +82,19 @@ class SubspaceBasis:
     def __len__(self) -> int:
         return len(self.recipes)
 
-    def append(self, recipe: BasisRecipe, dedupe: bool = True) -> bool:
-        """Add one generating function; returns False on a duplicate recipe."""
+    def append(self, recipe: BasisRecipe, dedupe: bool = True,
+               state: StateVector | None = None) -> bool:
+        """Add one generating function; returns False on a duplicate recipe.
+
+        A caller that already holds the recipe's prepared state passes it as
+        state, and it is stored instead of being rebuilt from the reference.
+        """
         if dedupe and recipe in set(self.recipes):
             return False
         self.recipes.append(recipe)
-        self.states.append(prepare_state(recipe, self.pool, self.reference))
+        if state is None:
+            state = prepare_state(recipe, self.pool, self.reference)
+        self.states.append(state)
         return True
 
     def regenerate(self) -> None:

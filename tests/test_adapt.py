@@ -70,6 +70,15 @@ def test_select_identity_hamiltonian_tie_break(toy):
     assert idx == 0 and np.allclose(grads, 0.0)
 
 
+def test_select_rounding_level_ties_go_to_lowest_index():
+    from gcim.adapt import _first_largest
+
+    # equal by symmetry, but the later entry came out 4e-16 larger
+    assert _first_largest(np.array([1.0, 2.584569994692884,
+                                    2.5845699946928855, 1.5])) == 1
+    assert _first_largest(np.array([1.0, 2.0, 2.0 + 1e-9])) == 2
+
+
 def test_select_excludes_and_errors(toy):
     h, pool, ref = toy
     idx, _ = select_operator(ref, h, pool)
@@ -128,6 +137,16 @@ def test_adapt_gcim_deterministic(toy):
     assert [r.selected_index for r in t1.records] == \
         [r.selected_index for r in t2.records]
     assert [r.epsilon0 for r in t1.records] == [r.epsilon0 for r in t2.records]
+
+
+def test_adapt_gcim_basis_states_match_prepare_state(h4):
+    # product states come from the running surrogate, not from prepare_state
+    h, pool, ref = h4
+    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(max_iterations=6))
+    assert any(len(r) > 1 for r in trace.basis.recipes)
+    for recipe, state in zip(trace.basis.recipes, trace.basis.states):
+        assert np.array_equal(state.amplitudes,
+                              prepare_state(recipe, pool, ref).amplitudes)
 
 
 def test_adapt_gcim_no_reselection(toy):

@@ -48,6 +48,25 @@ def test_exact_decomposition_reproduces_entry(toy):
             assert ov.exact_value == pytest.approx(s_mat[i, j].real, abs=1e-12)
 
 
+def test_exact_decomposition_matches_per_term_oracle(h4):
+    from gcim.pauli import PauliSum, jw_to_matrix
+
+    h, pool, ref = h4
+    basis = SubspaceBasis(reference=ref, pool=pool)
+    for r in [BasisRecipe(), BasisRecipe(((3, 0.7),)),
+              BasisRecipe(((3, 0.7), (40, -1.1)))]:
+        basis.append(r)
+    terms = h.sorted_terms()
+    mats = [jw_to_matrix(PauliSum(h.n_qubits, {p: 1.0})) for p, _ in terms]
+    for i in range(3):
+        for j in range(i, 3):
+            bra, ket = basis.states[i].amplitudes, basis.states[j].amplitudes
+            est = exact_decomposition(basis, h, i, j)
+            assert est.coeffs.tolist() == [c.real for _, c in terms]
+            expected = np.array([np.vdot(bra, m @ ket).real for m in mats])
+            assert np.max(np.abs(est.p_values - expected)) < 1e-12
+
+
 def test_zero_coefficient_terms_absent(toy):
     # PauliSum drops zero coefficients, so every term carries weight
     h, basis = _toy_noise_setup(toy)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcim.fermion import FermionOperator, jordan_wigner
@@ -98,6 +98,8 @@ def test_exp_apply_unitary_and_dense_oracle(seed, theta):
 
 @given(st.integers(0, 2**31 - 1), st.floats(-np.pi, np.pi))
 @settings(max_examples=20)
+@example(117931, 3.0)  # an unscaled Taylor series missed these by 5.9e-9
+@example(117931, 3.1)  # and 7.7e-9 through cancellation at large theta*|A|
 def test_exp_apply_reversible(seed, theta):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
@@ -118,6 +120,36 @@ def test_exp_apply_unitary_on_pool_generators(op_pick, theta):
     v = random_state(rng, op.n_qubits)
     w = exp_apply(op.qubit, theta, v)
     assert abs(w.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [np.pi, -np.pi, 0.75 * np.pi, -0.75 * np.pi])
+def test_exp_apply_pool_generators_match_expm(theta):
+    from gcim.pool import build_pool
+
+    rng = np.random.default_rng(5)
+    for op in build_pool(3):
+        v = random_state(rng, op.n_qubits)
+        w = exp_apply(op.qubit, theta, v)
+        dense = scipy.linalg.expm(theta * jw_to_matrix(op.qubit))
+        assert np.max(np.abs(w.amplitudes - dense @ v.amplitudes)) < 1e-12
+
+
+def test_real_operators_keep_real_states_real(h4):
+    h, pool, ref = h4
+    state = ref
+    for k, op in enumerate(pool[::5]):
+        state = exp_apply(op.qubit, 0.4 * k - 2.0, state)
+        assert np.all(state.amplitudes.imag == 0)
+    assert np.all(apply_paulisum(h, state).amplitudes.imag == 0)
+
+
+def test_compiled_hamiltonian_matches_dense_oracle(h4):
+    from gcim.statevector import _compiled
+
+    h, _, _ = h4
+    mat = _compiled(h).matrix
+    assert mat.dtype == np.float64
+    assert np.max(np.abs(mat.toarray() - jw_to_matrix(h))) < 1e-12
 
 
 def test_exp_apply_rejects_non_anti_hermitian():
