@@ -67,8 +67,6 @@ class AdaptConfig:
     n: int = 2
     vqe_round_budget: int = 200
     vqe_gtol: float = 1e-8
-    record_matrices: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -97,6 +95,7 @@ class IterationRecord:
     opt_rounds: int
     wall_time: float
     product_recipe: list[tuple[int, float]]
+    eigenvalues: list[float] | None = None  # subspace spectrum, kept out of trace.jsonl
 
 
 @dataclass
@@ -114,10 +113,10 @@ class AdaptTrace:
     time_gradients: float = 0.0
     time_energy: float = 0.0
     exact_energy: float | None = None
+    oracle_sector: tuple[int, int] | None = None
     energy_error: float | None = None
     overlap_deficit_value: float | None = None
     vqe_recipe: BasisRecipe | None = None
-    matrix_log: list = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -130,9 +129,17 @@ class AdaptTrace:
     def epsilon0_series(self) -> list[float]:
         return [r.epsilon0 for r in self.records if r.epsilon0 is not None]
 
+    def attach_subspace(self, result: GevpResult, basis: SubspaceBasis) -> None:
+        """Final energy, spectrum and ground state from the last subspace solve."""
+        self.result, self.basis = result, basis
+        self.final_energy = result.ground_energy
+        self.eigenvalues = [float(e) for e in result.eigenvalues]
+        self.final_state = reconstruct_state(result, basis, 0)
+
     def attach_exact(self, spectrum: ExactSpectrum) -> None:
         """Fill error and overlap fields from an exact-diagonalization oracle."""
         self.exact_energy = float(spectrum.eigenvalues[0])
+        self.oracle_sector = spectrum.sector
         if self.final_energy is not None:
             self.energy_error = float(self.final_energy - self.exact_energy)
         if self.final_state is not None:
@@ -247,50 +254,9 @@ def vqe_minimize(h: PauliSum, pool: list[PoolOperator], recipe: BasisRecipe,
 # GCIM family
 
 
-class _GrowingMatrices:
-    """Incrementally extended projected (H, S) pair over basis states."""
-
-    def __init__(self, h: PauliSum):
-        self.h = h
-        self.states: list[StateVector] = []
-        self.h_kets: list[StateVector] = []
-        self.h_mat = np.zeros((0, 0), dtype=complex)
-        self.s_mat = np.zeros((0, 0), dtype=complex)
-
-    def add_state(self, psi: StateVector) -> None:
-        m = len(self.states)
-        h_new = np.zeros((m + 1, m + 1), dtype=complex)
-        s_new = np.zeros((m + 1, m + 1), dtype=complex)
-        h_new[:m, :m] = self.h_mat
-        s_new[:m, :m] = self.s_mat
-        h_ket = apply_paulisum(self.h, psi)
-        for i, other in enumerate(self.states):
-            h_new[i, m] = other.inner(h_ket)
-            h_new[m, i] = np.conj(h_new[i, m])
-            s_new[i, m] = other.inner(psi)
-            s_new[m, i] = np.conj(s_new[i, m])
-        h_new[m, m] = psi.inner(h_ket)
-        s_new[m, m] = psi.inner(psi)
-        self.states.append(psi)
-        self.h_kets.append(h_ket)
-        self.h_mat, self.s_mat = h_new, s_new
-
-
 def _gcim_termination_window(pool_size: int, n_selected: int, t_usr: int) -> int:
     t_auto = math.ceil(0.2 * (pool_size - n_selected))
     return min(t_auto, t_usr)
-
-
-def _matrix_log_entry(iteration: int, mats: "_GrowingMatrices",
-                      result: GevpResult) -> dict:
-    return {
-        "iteration": iteration,
-        "h_mat": mats.h_mat.copy(),
-        "s_mat": mats.s_mat.copy(),
-        "eigenvalues": [float(e) for e in result.eigenvalues],
-        "kept_dim": result.kept_dim,
-        "threshold": result.threshold,
-    }
 
 
 def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
@@ -298,7 +264,6 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
                      opt_round_cap: int) -> AdaptTrace:
     trace = AdaptTrace(algorithm=config.algorithm)
     basis = SubspaceBasis(reference=reference, pool=pool)
-    mats = _GrowingMatrices(h)
     product = BasisRecipe()
     surrogate = reference
     selected: set[int] = set()
@@ -337,15 +302,12 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
         for recipe in new_recipes:
             # the surrogate is the product recipe's state, built by the same
             # exp_apply calls in the same order as prepare_state would make
-            if basis.append(recipe, state=surrogate if recipe == product else None):
-                mats.add_state(basis.states[-1])
+            basis.append(recipe, state=surrogate if recipe == product else None)
 
-        result = solve_gevp(mats.h_mat, mats.s_mat, config.s_threshold,
+        result = solve_gevp(*build_matrices(basis, h), config.s_threshold,
                             jitter=config.jitter)
         eps0 = result.ground_energy
         t_energy = time.perf_counter() - tick
-        if config.record_matrices:
-            trace.matrix_log.append(_matrix_log_entry(k, mats, result))
 
         if eps_prev is not None and eps0 > eps_prev + MONOTONE_SLACK:
             raise RuntimeError(
@@ -361,7 +323,8 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
             epsilon0=eps0, vqe_energy=None,
             subspace_dim=len(basis), kept_dim=result.kept_dim,
             opt_rounds=opt_rounds, wall_time=t_grad + t_energy,
-            product_recipe=list(product.steps)))
+            product_recipe=list(product.steps),
+            eigenvalues=[float(e) for e in result.eigenvalues]))
 
         if eps_prev is not None and abs(eps0 - eps_prev) < config.gcim_tol:
             stable += 1
@@ -377,11 +340,7 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
         trace.reason = "max_iterations"
 
     if result is not None:
-        trace.result = result
-        trace.basis = basis
-        trace.final_energy = result.ground_energy
-        trace.eigenvalues = [float(e) for e in result.eigenvalues]
-        trace.final_state = reconstruct_state(result, basis, 0)
+        trace.attach_subspace(result, basis)
     return trace
 
 
@@ -414,7 +373,6 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
     state = reference
     energy = apply_paulisum(h, reference).inner(reference).real
     basis = SubspaceBasis(reference=reference, pool=pool)
-    mats = _GrowingMatrices(h) if gcim_each_iteration else None
     result: GevpResult | None = None
 
     for k in range(1, config.max_iterations + 1):
@@ -439,19 +397,15 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
         recipe = recipe.with_thetas(thetas)
         state = prepare_state(recipe, pool, reference)
 
-        eps0 = None
-        kept = None
+        eps0 = kept = eigenvalues = None
         if gcim_each_iteration:
-            if basis.append(BasisRecipe((recipe.steps[-1],))):
-                mats.add_state(basis.states[-1])
-            if basis.append(recipe, dedupe=False, state=state):
-                mats.add_state(basis.states[-1])
-            result = solve_gevp(mats.h_mat, mats.s_mat, config.s_threshold,
+            basis.append(BasisRecipe((recipe.steps[-1],)))
+            basis.append(recipe, dedupe=False, state=state)
+            result = solve_gevp(*build_matrices(basis, h), config.s_threshold,
                                 jitter=config.jitter)
             eps0 = result.ground_energy
             kept = result.kept_dim
-            if config.record_matrices:
-                trace.matrix_log.append(_matrix_log_entry(k, mats, result))
+            eigenvalues = [float(e) for e in result.eigenvalues]
             if eps0 > energy + MONOTONE_SLACK:
                 raise RuntimeError(
                     f"subspace eigenvalue {eps0} exceeds the variational bound "
@@ -466,18 +420,14 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
             epsilon0=eps0, vqe_energy=float(energy),
             subspace_dim=len(basis) if gcim_each_iteration else len(recipe),
             kept_dim=kept, opt_rounds=rounds, wall_time=t_grad + t_energy,
-            product_recipe=list(recipe.steps)))
+            product_recipe=list(recipe.steps), eigenvalues=eigenvalues))
     else:
         trace.reason = "max_iterations"
 
     trace.final_vqe_energy = float(energy)
     trace.final_state = state
     if gcim_each_iteration and result is not None:
-        trace.result = result
-        trace.basis = basis
-        trace.final_energy = result.ground_energy
-        trace.eigenvalues = [float(e) for e in result.eigenvalues]
-        trace.final_state = reconstruct_state(result, basis, 0)
+        trace.attach_subspace(result, basis)
     else:
         trace.final_energy = float(energy)
     trace.vqe_recipe = recipe
@@ -522,11 +472,7 @@ def run_adapt_vqe_gcim_one_shot(h: PauliSum, pool: list[PoolOperator],
     trace.time_energy += time.perf_counter() - tick
     if result.ground_energy > trace.final_vqe_energy + MONOTONE_SLACK:
         raise RuntimeError("one-shot eigenvalue exceeds the variational bound")
-    trace.result = result
-    trace.basis = basis
-    trace.final_energy = result.ground_energy
-    trace.eigenvalues = [float(e) for e in result.eigenvalues]
-    trace.final_state = reconstruct_state(result, basis, 0)
+    trace.attach_subspace(result, basis)
     return trace
 
 
@@ -567,7 +513,8 @@ def gcim_energy_gradient(h: PauliSum, pool: list[PoolOperator], basis: SubspaceB
     f = result.eigenvectors[:, which]
     f = f / np.linalg.norm(f)
 
-    h_kets = [apply_paulisum(h, psi) for psi in basis.states]
+    h_mat, s_mat = build_matrices(basis, h)
+    h_kets = basis.pair.h_kets
     a_kets = {i: apply_paulisum(a_op, basis.states[i])
               for i in range(m) if has_s[i]}
 
@@ -584,7 +531,6 @@ def gcim_energy_gradient(h: PauliSum, pool: list[PoolOperator], basis: SubspaceB
                 dh[i, j] = h_kets[i].inner(a_kets[j])
                 ds[i, j] = basis.states[i].inner(a_kets[j])
 
-    h_mat, s_mat = build_matrices(basis, h)
     mean = lambda mat: complex(f.conj() @ mat @ f)
     s_mean = mean(s_mat)
     grad = (mean(dh) * s_mean - mean(h_mat) * mean(ds)) / s_mean ** 2

@@ -5,9 +5,6 @@ atomically (temp file + rename) into the configured output directory;
 trace.jsonl excludes wall-clock fields so identical (config, seed) runs are
 byte-identical, while summary.json carries the timing split.  Exit codes:
 0 converged, 2 unconverged, 1 hard error.
-
-The environment variable GCIM_THREADS caps the worker count; the current
-engines evaluate serially (one worker), which always satisfies the cap.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from .pauli import PauliSum, parse_pauli_json
 from .pool import PoolOperator, build_pool, pool_to_json
 from .resources import SCHEMES, ansatz_cnot_total, cnot_count, measurement_estimate
 from .shots import ShotConfig, mc_experiment
-from .statevector import StateVector, exact_spectrum, hf_state
+from .statevector import ExactSpectrum, StateVector, exact_spectrum, hf_state
 from .subspace import (
     BasisRecipe,
     SubspaceBasis,
@@ -72,10 +69,9 @@ class RunConfig:
     out_dir: Path
     seed: int
     dump_matrices: bool
-    max_workers: int
 
     def adapt_config(self, algorithm: str) -> AdaptConfig:
-        return AdaptConfig(algorithm=algorithm, seed=self.seed, **self.adapt_kwargs)
+        return AdaptConfig(algorithm=algorithm, **self.adapt_kwargs)
 
     def shot_config(self, **overrides) -> ShotConfig:
         kwargs = {"seed": self.seed, **self.shot_kwargs, **overrides}
@@ -94,11 +90,6 @@ def load_config(path: str | Path, seed: int | None = None,
         jsonschema.validate(doc, schema)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid config {path}: {exc.message}") from exc
-    workers = os.environ.get("GCIM_THREADS", "1")
-    try:
-        workers = max(1, int(workers))
-    except ValueError:
-        raise ConfigError(f"GCIM_THREADS must be an integer, got {workers!r}")
     return RunConfig(
         hamiltonian=doc["hamiltonian"],
         algorithms=list(doc.get("algorithms", [ADAPT_GCIM])),
@@ -113,7 +104,6 @@ def load_config(path: str | Path, seed: int | None = None,
         out_dir=Path(out_dir if out_dir is not None else doc.get("out_dir", "out")),
         seed=int(seed if seed is not None else doc.get("seed", 0)),
         dump_matrices=bool(doc.get("dump_matrices", False)),
-        max_workers=workers,
     )
 
 
@@ -212,6 +202,7 @@ def summary_dict(trace: AdaptTrace, cfg: RunConfig, system: System) -> dict:
         "eigenvalues": trace.eigenvalues,
         "excitation_energies_ev": ex_ev,
         "exact_energy": trace.exact_energy,
+        "oracle_sector": trace.oracle_sector,
         "energy_error": trace.energy_error,
         "overlap_deficit": trace.overlap_deficit_value,
         "subspace_dim": len(trace.basis) if trace.basis is not None else None,
@@ -250,35 +241,43 @@ def convergence_csv(trace: AdaptTrace, exact_energy: float | None) -> str:
     return buf.getvalue()
 
 
-def _matrices_jsonl(trace: AdaptTrace) -> str:
+def _matrices_jsonl(trace: AdaptTrace, h: PauliSum) -> str:
+    """Per iteration, the leading block of the final pair that it solved.
+
+    The basis only grows, so iteration k's pair is the leading subspace_dim
+    block of the pair over the final basis.
+    """
+    records = [r for r in trace.records if r.eigenvalues is not None]
+    if not records:
+        return ""
+    h_mat, s_mat = build_matrices(trace.basis, h)
     lines = []
-    for entry in trace.matrix_log:
+    for rec in records:
+        d = rec.subspace_dim
         lines.append(json.dumps({
-            "iteration": entry["iteration"],
-            "h_real": entry["h_mat"].real.tolist(),
-            "h_imag": entry["h_mat"].imag.tolist(),
-            "s_real": entry["s_mat"].real.tolist(),
-            "s_imag": entry["s_mat"].imag.tolist(),
-            "eigenvalues": entry["eigenvalues"],
-            "kept_dim": entry["kept_dim"],
-            "threshold": entry["threshold"],
+            "iteration": rec.iteration,
+            "h_real": h_mat[:d, :d].real.tolist(),
+            "h_imag": h_mat[:d, :d].imag.tolist(),
+            "s_real": s_mat[:d, :d].real.tolist(),
+            "s_imag": s_mat[:d, :d].imag.tolist(),
+            "eigenvalues": rec.eigenvalues,
+            "kept_dim": rec.kept_dim,
+            "threshold": trace.result.threshold,
         }, sort_keys=True) + "\n")
     return "".join(lines)
 
 
-def _exact_reference(system: System, cfg: RunConfig, k: int = 1):
+def _exact_reference(system: System, cfg: RunConfig) -> ExactSpectrum | None:
+    """Ground state of the reference's sector, or None past exact_max_qubits."""
     if system.n_qubits > cfg.exact_max_qubits:
         return None
-    return exact_spectrum(system.h, k=k)
+    return exact_spectrum(system.h, reference=system.reference)
 
 
-def _execute(cfg: RunConfig, algorithm: str, system: System,
-             out_dir: Path) -> AdaptTrace:
-    acfg = cfg.adapt_config(algorithm)
-    if cfg.dump_matrices:
-        acfg.record_matrices = True
-    trace = run_algorithm(algorithm, system.h, system.pool, system.reference, acfg)
-    spectrum = _exact_reference(system, cfg)
+def _execute(cfg: RunConfig, algorithm: str, system: System, out_dir: Path,
+             spectrum: ExactSpectrum | None) -> AdaptTrace:
+    trace = run_algorithm(algorithm, system.h, system.pool, system.reference,
+                          cfg.adapt_config(algorithm))
     if spectrum is not None:
         trace.attach_exact(spectrum)
     _atomic_write(out_dir / "trace.jsonl", trace_jsonl(trace))
@@ -288,18 +287,19 @@ def _execute(cfg: RunConfig, algorithm: str, system: System,
     _atomic_write(out_dir / "convergence.csv",
                   convergence_csv(trace, trace.exact_energy))
     if cfg.dump_matrices:
-        _atomic_write(out_dir / "matrices.jsonl", _matrices_jsonl(trace))
+        _atomic_write(out_dir / "matrices.jsonl", _matrices_jsonl(trace, system.h))
     return trace
 
 
 def cmd_run(cfg: RunConfig) -> int:
     """Run the configured algorithm(s); artifacts per algorithm."""
     system = build_system(cfg)
+    spectrum = _exact_reference(system, cfg)
     single = len(cfg.algorithms) == 1
     all_converged = True
     for alg in cfg.algorithms:
         out = cfg.out_dir if single else cfg.out_dir / alg
-        trace = _execute(cfg, alg, system, out)
+        trace = _execute(cfg, alg, system, out, spectrum)
         all_converged &= trace.converged
     _atomic_write(cfg.out_dir / "pool.json",
                   json.dumps(pool_to_json(system.pool), indent=1) + "\n")
@@ -316,7 +316,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     traces = {}
     all_converged = True
     for alg in cfg.algorithms:
-        trace = _execute(cfg, alg, system, cfg.out_dir / alg)
+        trace = _execute(cfg, alg, system, cfg.out_dir / alg, spectrum)
         traces[alg] = trace
         all_converged &= trace.converged
 
@@ -345,7 +345,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def _noise_basis(trace: AdaptTrace, system: System) -> SubspaceBasis:
-    """Earliest iteration whose noiseless energy already matches the final one.
+    """Leading states of the trace's basis up to the earliest iteration
+    whose noiseless energy already matches the final one.
 
     Sweeping noise over this subspace (rather than the fully converged,
     rank-deficient one) isolates finite-shot effects from basis redundancy.
@@ -356,10 +357,10 @@ def _noise_basis(trace: AdaptTrace, system: System) -> SubspaceBasis:
                 abs(rec.epsilon0 - trace.final_energy) <= 1e-12:
             pick = rec
             break
-    basis = SubspaceBasis(reference=system.reference, pool=system.pool,
-                          recipes=list(trace.basis.recipes[:pick.subspace_dim]))
-    basis.regenerate()
-    return basis
+    d = pick.subspace_dim
+    return SubspaceBasis(reference=system.reference, pool=system.pool,
+                         recipes=trace.basis.recipes[:d],
+                         states=trace.basis.states[:d])
 
 
 def cmd_noise(cfg: RunConfig) -> int:
@@ -369,7 +370,9 @@ def cmd_noise(cfg: RunConfig) -> int:
     trace = run_algorithm(ADAPT_GCIM, system.h, system.pool, system.reference,
                           cfg.adapt_config(ADAPT_GCIM))
     basis = _noise_basis(trace, system)
-    h_mat, s_mat = build_matrices(basis, system.h)
+    d = len(basis)
+    h_mat, s_mat = build_matrices(trace.basis, system.h)
+    h_mat, s_mat = h_mat[:d, :d], s_mat[:d, :d]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["tau", "importance_sampling", "mean_error", "ci_low", "ci_high"])

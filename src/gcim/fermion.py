@@ -124,13 +124,6 @@ class FermionOperator:
         """self - self† (skew-Hermitian closure; constants cancel to 2i Im)."""
         return self - self.dagger()
 
-    def max_index(self) -> int:
-        m = -1
-        for cre, ann in self.terms:
-            for i in cre + ann:
-                m = max(m, i)
-        return m
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         diff = (self - self.dagger()).simplify()
         if abs(diff.constant) > tol:

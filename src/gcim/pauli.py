@@ -19,13 +19,6 @@ COEFF_CUTOFF = 1e-14
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 class PauliFormatError(ValueError):
     """Raised on malformed Pauli text/JSON input."""
@@ -77,15 +70,6 @@ class PauliString:
     def support(self) -> list[int]:
         mask = self.x | self.z
         return [j for j in range(self.n) if (mask >> j) & 1]
-
-    def to_matrix(self) -> np.ndarray:
-        if self.n > 16:
-            raise ResourceLimitError(f"dense matrix for {self.n} qubits not supported")
-        mat = np.array([[1.0 + 0j]])
-        # qubit 0 is the least-significant factor, so it goes rightmost in kron
-        for ch in self.label:
-            mat = np.kron(_PAULI_MATS[ch], mat)
-        return mat
 
     def __str__(self) -> str:
         return self.label
@@ -187,9 +171,6 @@ class PauliSum:
 
     def is_anti_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.real) <= tol for c in self.terms.values())
-
-    def one_norm(self) -> float:
-        return float(sum(abs(c) for c in self.terms.values()))
 
     def sorted_terms(self) -> list[tuple[PauliString, complex]]:
         return sorted(self.terms.items(), key=lambda pc: pc[0].label)

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .pauli import PauliSum, ResourceLimitError
 
-_DENSE_EIG_MAX_QUBITS = 10
+_DENSE_EIG_MAX_DIM = 1024
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -287,38 +288,82 @@ def pauli_decomposition(bra: StateVector, h: PauliSum, ket: StateVector
 
 @dataclass(frozen=True)
 class ExactSpectrum:
-    """Lowest eigenvalues (ascending, hartree) and the ground eigenvector."""
+    """Lowest eigenvalues (ascending, hartree) and the ground eigenvector.
+
+    sector is the (n_alpha, n_beta) sector that was diagonalized, or None
+    for the full Fock space.
+    """
 
     eigenvalues: np.ndarray
     ground_state: StateVector
+    sector: tuple[int, int] | None = None
 
 
-def exact_spectrum(h: PauliSum, k: int = 1) -> ExactSpectrum:
+def _sector_indices(reference: StateVector) -> tuple[np.ndarray, tuple[int, int]]:
+    """Basis indices with the reference's alpha (even-bit) and beta
+    (odd-bit) occupation counts, and those two counts."""
+    n = reference.n_qubits
+    idx = np.arange(1 << n)
+    n_alpha = np.bitwise_count(idx & sum(1 << b for b in range(0, n, 2)))
+    n_beta = np.bitwise_count(idx & sum(1 << b for b in range(1, n, 2)))
+    support = np.flatnonzero(reference.amplitudes)
+    occ = (int(n_alpha[support[0]]), int(n_beta[support[0]]))
+    if np.any(n_alpha[support] != occ[0]) or np.any(n_beta[support] != occ[1]):
+        raise ValueError("reference spans more than one (n_alpha, n_beta) sector")
+    return np.flatnonzero((n_alpha == occ[0]) & (n_beta == occ[1])), occ
+
+
+def exact_spectrum(h: PauliSum, k: int = 1,
+                   reference: StateVector | None = None) -> ExactSpectrum:
     """Lowest k eigenpairs of a Hermitian PauliSum, from its compiled matrix.
 
-    Dense eigensolve up to 10 qubits; restarted Krylov (ARPACK) above.
-    Residuals are verified to 1e-9.
+    With a reference, only the determinants of the reference's (n_alpha,
+    n_beta) sector are diagonalized and the ground vector is embedded back
+    into the full register; when h couples that sector to the rest beyond
+    rounding (1e-12 relative to the largest entry in the sector's rows) the
+    full space is used.  Dense eigensolve up to dimension 1024; restarted
+    Krylov (ARPACK) above, from a fixed start vector and with three extra
+    eigenpairs so that a degenerate ground level is not split.  Residuals
+    are verified to 1e-9.
     """
     n = h.n_qubits
     if n > 16:
         raise ResourceLimitError(f"spectrum for {n} qubits exceeds the desk-scale limit")
     if not h.is_hermitian(1e-10):
         raise ValueError("Hamiltonian is not Hermitian")
-    dim = 1 << n
-    k = min(k, dim)
     mat = _compiled(h).matrix
-    if n <= _DENSE_EIG_MAX_QUBITS or k >= dim - 1:
-        evals, evecs = np.linalg.eigh(mat.toarray())
-        vals = evals[:k]
+    sub, keep, sector = mat, None, None
+    if reference is not None:
+        if reference.n_qubits != n:
+            raise ValueError("register size mismatch")
+        keep, occ = _sector_indices(reference)
+        rows = mat[keep]
+        inside = np.zeros(mat.shape[0], dtype=bool)
+        inside[keep] = True
+        leak = np.abs(rows.data[~inside[rows.indices]])
+        if leak.size and leak.max() > 1e-12 * np.abs(rows.data).max():
+            keep = None
+        else:
+            sub, sector = rows[:, keep], occ
+    dim = sub.shape[0]
+    k = min(k, dim)
+    if dim <= _DENSE_EIG_MAX_DIM or k >= dim - 1:
+        # only the lowest k pairs (MRRR): less workspace than a full eigh
+        vals, evecs = sla.eigh(sub.toarray(), subset_by_index=[0, k - 1], driver="evr")
         ground = evecs[:, 0]
     else:
-        evals, evecs = spla.eigsh(mat, k=max(k, 2), which="SA")
+        v0 = np.random.default_rng(0).standard_normal(dim).astype(sub.dtype)
+        evals, evecs = spla.eigsh(sub, k=min(k + 3, dim - 1), which="SA", v0=v0)
         order = np.argsort(evals)
         vals = evals[order][:k]
         ground = evecs[:, order[0]]
+    if keep is not None:
+        full = np.zeros(mat.shape[0], dtype=ground.dtype)
+        full[keep] = ground
+        ground = full
     ground = ground / np.linalg.norm(ground)
     resid = np.linalg.norm(mat @ ground - vals[0] * ground)
     if resid > 1e-9:
         raise RuntimeError(f"eigensolver residual {resid:.3e} exceeds 1e-9")
     return ExactSpectrum(np.asarray(vals, dtype=float),
-                         StateVector.from_array(ground))
+                         StateVector.from_array(ground), sector)

@@ -65,12 +65,24 @@ def prepare_state(recipe: BasisRecipe, pool: list[PoolOperator],
 
 
 @dataclass
+class ProjectedPair:
+    """H|psi_j>, H and S over the leading states of a basis, for one h."""
+
+    h: PauliSum
+    states: list[StateVector]
+    h_kets: list[StateVector]
+    h_mat: np.ndarray
+    s_mat: np.ndarray
+
+
+@dataclass
 class SubspaceBasis:
     """Recipes plus their cached statevectors.
 
     For a recipe-built basis the cached states regenerate exactly from
     (reference, pool, recipe); orthonormalized bases returned by
     orthogonalize_basis keep their source recipes for provenance only.
+    build_matrices keeps its projected pair in `pair`.
     """
 
     reference: StateVector
@@ -78,6 +90,8 @@ class SubspaceBasis:
     recipes: list[BasisRecipe] = field(default_factory=list)
     states: list[StateVector] = field(default_factory=list)
     orthonormalized: bool = False
+    pair: ProjectedPair | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __len__(self) -> int:
         return len(self.recipes)
@@ -104,23 +118,39 @@ class SubspaceBasis:
 def build_matrices(basis: SubspaceBasis, h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Projected H_ij = <psi_i|H|psi_j> and overlap S_ij = <psi_i|psi_j>.
 
-    Only the upper triangle is computed; the conjugate mirror enforces
-    Hermitian symmetry exactly.
+    The pair is cached on the basis and extended by the states appended
+    since the last call; a different h, or a state list that no longer
+    starts with the cached states, rebuilds it.  Only the upper triangle is
+    computed; the conjugate mirror enforces Hermitian symmetry exactly.  The
+    returned arrays are read-only.
     """
-    if not basis.states:
+    states = basis.states
+    if not states:
         raise ValueError("empty basis")
-    m = len(basis.states)
-    h_mat = np.zeros((m, m), dtype=complex)
-    s_mat = np.zeros((m, m), dtype=complex)
-    h_kets = [apply_paulisum(h, psi) for psi in basis.states]
-    for i in range(m):
-        for j in range(i, m):
-            h_mat[i, j] = basis.states[i].inner(h_kets[j])
-            s_mat[i, j] = basis.states[i].inner(basis.states[j])
-            if i != j:
-                h_mat[j, i] = np.conj(h_mat[i, j])
-                s_mat[j, i] = np.conj(s_mat[i, j])
-    return h_mat, s_mat
+    pair = basis.pair
+    if (pair is None or pair.h is not h or len(pair.states) > len(states)
+            or any(a is not b for a, b in zip(pair.states, states))):
+        empty = np.zeros((0, 0), dtype=complex)
+        pair = ProjectedPair(h, [], [], empty, empty)
+    m0, m = len(pair.states), len(states)
+    if m0 < m:
+        h_kets = pair.h_kets + [apply_paulisum(h, psi) for psi in states[m0:]]
+        h_mat = np.zeros((m, m), dtype=complex)
+        s_mat = np.zeros((m, m), dtype=complex)
+        h_mat[:m0, :m0] = pair.h_mat
+        s_mat[:m0, :m0] = pair.s_mat
+        for j in range(m0, m):
+            for i in range(j + 1):
+                h_mat[i, j] = states[i].inner(h_kets[j])
+                s_mat[i, j] = states[i].inner(states[j])
+                if i != j:
+                    h_mat[j, i] = np.conj(h_mat[i, j])
+                    s_mat[j, i] = np.conj(s_mat[i, j])
+        h_mat.setflags(write=False)
+        s_mat.setflags(write=False)
+        pair = ProjectedPair(h, list(states), h_kets, h_mat, s_mat)
+    basis.pair = pair
+    return pair.h_mat, pair.s_mat
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from gcim.adapt import (
     run_adapt_vqe,
     run_adapt_vqe_gcim,
     run_adapt_vqe_gcim_one_shot,
+    run_algorithm,
     select_operator,
     ucc_translate,
     uccsd_recipe,
@@ -423,21 +424,32 @@ def test_trace_jsonable_fields(toy):
     assert trace.time_gradients >= 0.0 and trace.time_energy > 0.0
 
 
-def test_incremental_matrices_match_full_rebuild(toy):
-    h, pool, ref = toy
-    cfg = AdaptConfig(t_usr=3, record_matrices=True)
-    trace = run_adapt_gcim(h, pool, ref, cfg)
-    h_full, s_full = build_matrices(trace.basis, h)
-    h_inc = trace.matrix_log[-1]["h_mat"]
-    s_inc = trace.matrix_log[-1]["s_mat"]
-    assert np.max(np.abs(h_inc - h_full)) < 1e-13
-    assert np.max(np.abs(s_inc - s_full)) < 1e-13
+def test_final_pair_matches_fresh_build(h4):
+    h, pool, ref = h4
+    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3, max_iterations=8))
+    # the loop left its pair on the basis, covering every state
+    assert trace.basis.pair is not None
+    assert len(trace.basis.pair.states) == len(trace.basis)
+    h_loop, s_loop = build_matrices(trace.basis, h)
+    fresh = SubspaceBasis(reference=ref, pool=pool, recipes=list(trace.basis.recipes),
+                          states=list(trace.basis.states))
+    h_new, s_new = build_matrices(fresh, h)
+    assert np.array_equal(h_loop, h_new) and np.array_equal(s_loop, s_new)
 
 
-def test_matrix_log_recording(toy):
+@pytest.mark.parametrize("algorithm", [ADAPT_GCIM, ADAPT_VQE_GCIM])
+def test_iteration_pairs_are_leading_blocks(toy, algorithm):
+    # the basis only grows, so a run stopped after k iterations solves the
+    # leading block of the full run's final pair
     h, pool, ref = toy
-    cfg = AdaptConfig(t_usr=3, record_matrices=True)
-    trace = run_adapt_gcim(h, pool, ref, cfg)
-    assert len(trace.matrix_log) == trace.iterations
-    entry = trace.matrix_log[0]
-    assert entry["h_mat"].shape == (2, 2) and entry["kept_dim"] <= 2
+    full = run_algorithm(algorithm, h, pool, ref, AdaptConfig(algorithm=algorithm, t_usr=3))
+    h_fin, s_fin = build_matrices(full.basis, h)
+    assert full.iterations >= 2
+    for rec in full.records:
+        cfg = AdaptConfig(algorithm=algorithm, t_usr=3, max_iterations=rec.iteration)
+        part = run_algorithm(algorithm, h, pool, ref, cfg)
+        d = rec.subspace_dim
+        h_k, s_k = build_matrices(part.basis, h)
+        assert np.array_equal(h_k, h_fin[:d, :d])
+        assert np.array_equal(s_k, s_fin[:d, :d])
+        assert rec.eigenvalues == part.records[-1].eigenvalues == part.eigenvalues

@@ -5,18 +5,24 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
+from gcim.adapt import AdaptConfig, run_adapt_gcim
 from gcim.cli import (
     CHEMICAL_ACCURACY,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_UNCONVERGED,
+    System,
     _load_schema,
+    _noise_basis,
     build_system,
     load_config,
     main,
 )
 from gcim.pauli import pauli_sum_to_json
 from gcim.statevector import exact_spectrum
+from gcim.subspace import build_matrices
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write_config(tmp_path: Path, doc: dict) -> Path:
@@ -216,17 +222,60 @@ def test_dump_matrices_artifact(tmp_path):
             "threshold"} <= set(entry)
 
 
-def test_gcim_threads_env_validation(tmp_path, monkeypatch):
-    cfg_path = _write_config(tmp_path, _toy_doc(tmp_path))
-    monkeypatch.setenv("GCIM_THREADS", "4")
-    cfg = load_config(cfg_path)
-    assert cfg.max_workers == 4
-    monkeypatch.setenv("GCIM_THREADS", "lots")
-    assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
-
-
 def test_build_system_fcidump(h4_path, tmp_path):
     doc = _toy_doc(tmp_path, hamiltonian={"fcidump": str(h4_path)})
     cfg = load_config(_write_config(tmp_path, doc))
     system = build_system(cfg)
     assert system.n_qubits == 8 and len(system.pool) == 66
+
+
+def test_dump_matrices_leading_blocks(tmp_path, toy):
+    # every iteration's dumped pair is the leading block of the final pair
+    h, pool, ref = toy
+    cfg_path = _write_config(tmp_path, _toy_doc(tmp_path, dump_matrices=True))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
+    h_fin, s_fin = build_matrices(trace.basis, h)
+    lines = (tmp_path / "out" / "matrices.jsonl").read_text().splitlines()
+    assert len(lines) == trace.iterations
+    for line, rec in zip(lines, trace.records):
+        entry = json.loads(line)
+        d = rec.subspace_dim
+        assert entry["iteration"] == rec.iteration
+        h_k = np.array(entry["h_real"]) + 1j * np.array(entry["h_imag"])
+        s_k = np.array(entry["s_real"]) + 1j * np.array(entry["s_imag"])
+        assert np.array_equal(h_k, h_fin[:d, :d]) and np.array_equal(s_k, s_fin[:d, :d])
+        assert entry["eigenvalues"] == rec.eigenvalues
+        assert entry["kept_dim"] == rec.kept_dim
+    # eigenvalues stay out of the trace
+    first = json.loads((tmp_path / "out" / "trace.jsonl").read_text().splitlines()[0])
+    assert "eigenvalues" not in first
+
+
+def test_noise_basis_holds_trace_states(toy):
+    h, pool, ref = toy
+    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
+    basis = _noise_basis(trace, System(h, pool, ref, h.n_qubits, "toy"))
+    assert 0 < len(basis) <= len(trace.basis)
+    assert len(basis.states) == len(basis)
+    assert all(a is b for a, b in zip(basis.states, trace.basis.states))
+    assert basis.recipes == trace.basis.recipes[:len(basis)]
+
+
+def test_shipped_configs_load():
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert paths
+    for path in paths:
+        load_config(path)
+
+
+def test_run_oracle_uses_reference_sector(tmp_path):
+    # at U/t = 8 the full Fock space holds a lower one-electron state; the
+    # run's own error must be measured against the two-electron ground
+    doc = _toy_doc(tmp_path, hamiltonian={"toy": {"t": 1.0, "u": 8.0}})
+    assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    jsonschema.validate(summary, _load_schema("summary.schema.json"))
+    assert summary["oracle_sector"] == [1, 1]
+    assert abs(summary["exact_energy"] - (4.0 - 2.0 * np.sqrt(5.0))) < 1e-12
+    assert abs(summary["energy_error"]) < 1e-10 and summary["overlap_deficit"] < 1e-10

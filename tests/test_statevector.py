@@ -218,6 +218,48 @@ def test_exact_spectrum_iterative_path_matches_dense():
     assert np.allclose(spec.eigenvalues, evals[:2], atol=1e-8)
 
 
+def _sector_indices_dense(n, n_alpha, n_beta):
+    even = sum(1 << b for b in range(0, n, 2))
+    odd = sum(1 << b for b in range(1, n, 2))
+    return [i for i in range(1 << n)
+            if bin(i & even).count("1") == n_alpha and bin(i & odd).count("1") == n_beta]
+
+
+def test_exact_spectrum_reference_sector_toy_u8():
+    # at U/t = 8 the one-electron ground (-1.0) lies below the two-electron
+    # one, U/2 - sqrt(U^2/4 + 4t^2) = 4 - 2 sqrt(5); the oracle must report
+    # the reference's sector
+    from gcim import toy_system
+
+    h, _, ref = toy_system(1.0, 8.0)
+    assert exact_spectrum(h).eigenvalues[0] == pytest.approx(-1.0, abs=1e-12)
+    spec = exact_spectrum(h, k=2, reference=ref)
+    assert spec.sector == (1, 1)
+    assert spec.eigenvalues[0] == pytest.approx(4.0 - 2.0 * np.sqrt(5.0), abs=1e-12)
+    dense = jw_to_matrix(h)
+    idx = _sector_indices_dense(4, 1, 1)
+    evals = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
+    assert np.allclose(spec.eigenvalues, evals[:2], atol=1e-12)
+    g = spec.ground_state.amplitudes
+    assert np.linalg.norm(g[idx]) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(dense @ g - spec.eigenvalues[0] * g) < 1e-10
+
+
+def test_exact_spectrum_sector_fallback():
+    from gcim import toy_system
+
+    h, _, ref = toy_system(1.0, 8.0)
+    # a coupling far below rounding of the largest entry keeps the sector
+    tiny = h + PauliSum.from_label_dict({"XIII": 1e-13})
+    assert exact_spectrum(tiny, reference=ref).sector == (1, 1)
+    # a real particle-number-breaking term falls back to the full space
+    mixed = h + PauliSum.from_label_dict({"XIII": 0.1})
+    spec = exact_spectrum(mixed, reference=ref)
+    assert spec.sector is None
+    assert spec.eigenvalues[0] == pytest.approx(
+        np.linalg.eigvalsh(jw_to_matrix(mixed))[0], abs=1e-12)
+
+
 def test_exact_spectrum_rejects_non_hermitian():
     h = PauliSum.from_label_dict({"X": 1.0j})
     with pytest.raises(ValueError):

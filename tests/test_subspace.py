@@ -60,6 +60,31 @@ def test_build_matrices_dense_oracle(toy):
     assert np.max(np.abs(h_mat - h_mat.conj().T)) == 0.0
 
 
+def test_build_matrices_cache_follows_states_and_h(toy):
+    h, pool, ref = toy
+    recipes = [BasisRecipe(), BasisRecipe(((0, 0.3),)),
+               BasisRecipe(((0, 0.3), (1, -0.6)))]
+
+    def fresh(basis, op):
+        copy = SubspaceBasis(reference=ref, pool=pool, recipes=list(basis.recipes),
+                             states=list(basis.states))
+        return build_matrices(copy, op)
+
+    basis = _toy_basis(toy, recipes[:2])
+    h2, _ = build_matrices(basis, h)
+    basis.append(recipes[2])
+    h3, s3 = build_matrices(basis, h)
+    assert np.array_equal(h3[:2, :2], h2)
+    assert all(np.array_equal(a, b) for a, b in zip((h3, s3), fresh(basis, h)))
+    # a reordered state list, or a different operator, is not served from the cache
+    basis.recipes.reverse()
+    basis.states.reverse()
+    assert all(np.array_equal(a, b)
+               for a, b in zip(build_matrices(basis, h), fresh(basis, h)))
+    doubled = 2.0 * h
+    assert np.array_equal(build_matrices(basis, doubled)[0], fresh(basis, doubled)[0])
+
+
 def test_solve_gevp_identity_overlap():
     res = solve_gevp(np.diag([1.0, 2.0]), np.eye(2), 1e-13)
     assert np.allclose(res.eigenvalues, [1.0, 2.0])
