@@ -23,7 +23,7 @@ from .adapt import (
     vqe_minimize,
 )
 from .fcidump import SpatialIntegrals, assemble_hamiltonian, dumps_fcidump, parse_fcidump
-from .fermion import FermionHamiltonian, FermionOperator, SpinOrbitalMap, jordan_wigner
+from .fermion import FermionOperator, jordan_wigner
 from .pauli import (
     PauliString,
     PauliSum,

@@ -93,7 +93,6 @@ class IterationRecord:
     subspace_dim: int
     kept_dim: int | None
     opt_rounds: int
-    wall_time: float
     product_recipe: list[tuple[int, float]]
     eigenvalues: list[float] | None = None  # subspace spectrum, kept out of trace.jsonl
 
@@ -278,7 +277,7 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
             break
         tick = time.perf_counter()
         sel, grads = select_operator(surrogate, h, pool, selected)
-        t_grad = time.perf_counter() - tick
+        trace.time_gradients += time.perf_counter() - tick
         selected.add(sel)
         product = product.extended(sel, config.theta_init)
 
@@ -307,14 +306,12 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
         result = solve_gevp(*build_matrices(basis, h), config.s_threshold,
                             jitter=config.jitter)
         eps0 = result.ground_energy
-        t_energy = time.perf_counter() - tick
+        trace.time_energy += time.perf_counter() - tick
 
         if eps_prev is not None and eps0 > eps_prev + MONOTONE_SLACK:
             raise RuntimeError(
                 f"lowest eigenvalue rose by {eps0 - eps_prev:.3e} at iteration {k}")
 
-        trace.time_gradients += t_grad
-        trace.time_energy += t_energy
         trace.records.append(IterationRecord(
             iteration=k, selected_index=sel, selected_label=pool[sel].label,
             gradients=[float(g) for g in grads],
@@ -322,7 +319,7 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
             gradient_sum=float(np.sum(np.abs(grads))),
             epsilon0=eps0, vqe_energy=None,
             subspace_dim=len(basis), kept_dim=result.kept_dim,
-            opt_rounds=opt_rounds, wall_time=t_grad + t_energy,
+            opt_rounds=opt_rounds,
             product_recipe=list(product.steps),
             eigenvalues=[float(e) for e in result.eigenvalues]))
 
@@ -378,8 +375,7 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
     for k in range(1, config.max_iterations + 1):
         tick = time.perf_counter()
         grads = pool_gradients(state, h, pool)
-        t_grad = time.perf_counter() - tick
-        trace.time_gradients += t_grad
+        trace.time_gradients += time.perf_counter() - tick
         gsum = float(np.sum(np.abs(grads)))
         if gsum < config.vqe_grad_tol:
             trace.converged = True
@@ -410,8 +406,7 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
                 raise RuntimeError(
                     f"subspace eigenvalue {eps0} exceeds the variational bound "
                     f"{energy} at iteration {k}")
-        t_energy = time.perf_counter() - tick
-        trace.time_energy += t_energy
+        trace.time_energy += time.perf_counter() - tick
 
         trace.records.append(IterationRecord(
             iteration=k, selected_index=sel, selected_label=pool[sel].label,
@@ -419,7 +414,7 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
             gradient_max=float(np.max(np.abs(grads))), gradient_sum=gsum,
             epsilon0=eps0, vqe_energy=float(energy),
             subspace_dim=len(basis) if gcim_each_iteration else len(recipe),
-            kept_dim=kept, opt_rounds=rounds, wall_time=t_grad + t_energy,
+            kept_dim=kept, opt_rounds=rounds,
             product_recipe=list(recipe.steps), eigenvalues=eigenvalues))
     else:
         trace.reason = "max_iterations"
@@ -476,15 +471,16 @@ def run_adapt_vqe_gcim_one_shot(h: PauliSum, pool: list[PoolOperator],
     return trace
 
 
-def run_algorithm(algorithm: str, h: PauliSum, pool: list[PoolOperator],
-                  reference: StateVector, config: AdaptConfig) -> AdaptTrace:
+def run_algorithm(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
+                  config: AdaptConfig) -> AdaptTrace:
+    """Run the variant that config.algorithm names."""
     runner = {
         ADAPT_GCIM: run_adapt_gcim,
         ADAPT_VQE: run_adapt_vqe,
         ADAPT_VQE_GCIM: run_adapt_vqe_gcim,
         ADAPT_VQE_GCIM_1: run_adapt_vqe_gcim_one_shot,
         ADAPT_GCIM_MN: run_adapt_gcim_mn,
-    }[algorithm]
+    }[config.algorithm]
     return runner(h, pool, reference, config)
 
 

@@ -25,7 +25,7 @@ import jsonschema
 from .adapt import ADAPT_GCIM, AdaptConfig, AdaptTrace, run_algorithm
 from .fcidump import parse_fcidump, assemble_hamiltonian
 from .fermion import jordan_wigner
-from .pauli import PauliSum, parse_pauli_json
+from .pauli import PauliSum, ResourceLimitError, parse_pauli_json
 from .pool import PoolOperator, build_pool, pool_to_json
 from .resources import SCHEMES, ansatz_cnot_total, cnot_count, measurement_estimate
 from .shots import ShotConfig, mc_experiment
@@ -65,7 +65,6 @@ class RunConfig:
     n_alpha: int | None
     n_beta: int | None
     exact_k: int
-    exact_max_qubits: int
     out_dir: Path
     seed: int
     dump_matrices: bool
@@ -100,7 +99,6 @@ def load_config(path: str | Path, seed: int | None = None,
         n_alpha=doc.get("n_alpha"),
         n_beta=doc.get("n_beta"),
         exact_k=int(doc.get("exact_k", 4)),
-        exact_max_qubits=int(doc.get("exact_max_qubits", 16)),
         out_dir=Path(out_dir if out_dir is not None else doc.get("out_dir", "out")),
         seed=int(seed if seed is not None else doc.get("seed", 0)),
         dump_matrices=bool(doc.get("dump_matrices", False)),
@@ -165,7 +163,6 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _record_json(rec) -> dict:
-    # wall_time deliberately omitted: traces must be byte-identical per seed
     return {
         "iteration": rec.iteration,
         "selected_index": rec.selected_index,
@@ -207,7 +204,7 @@ def summary_dict(trace: AdaptTrace, cfg: RunConfig, system: System) -> dict:
         "overlap_deficit": trace.overlap_deficit_value,
         "subspace_dim": len(trace.basis) if trace.basis is not None else None,
         "kept_dim": trace.result.kept_dim if trace.result is not None else None,
-        "s_threshold": cfg.adapt_kwargs.get("s_threshold", 1e-13),
+        "s_threshold": cfg.adapt_config(trace.algorithm).s_threshold,
         "total_opt_rounds": trace.total_opt_rounds,
         "time_gradients_s": trace.time_gradients,
         "time_energy_s": trace.time_energy,
@@ -267,16 +264,18 @@ def _matrices_jsonl(trace: AdaptTrace, h: PauliSum) -> str:
     return "".join(lines)
 
 
-def _exact_reference(system: System, cfg: RunConfig) -> ExactSpectrum | None:
-    """Ground state of the reference's sector, or None past exact_max_qubits."""
-    if system.n_qubits > cfg.exact_max_qubits:
+def _exact_reference(system: System, k: int = 1) -> ExactSpectrum | None:
+    """Lowest k eigenpairs of the reference's sector, or None when the
+    register exceeds the oracle's size limit."""
+    try:
+        return exact_spectrum(system.h, k=k, reference=system.reference)
+    except ResourceLimitError:
         return None
-    return exact_spectrum(system.h, reference=system.reference)
 
 
 def _execute(cfg: RunConfig, algorithm: str, system: System, out_dir: Path,
              spectrum: ExactSpectrum | None) -> AdaptTrace:
-    trace = run_algorithm(algorithm, system.h, system.pool, system.reference,
+    trace = run_algorithm(system.h, system.pool, system.reference,
                           cfg.adapt_config(algorithm))
     if spectrum is not None:
         trace.attach_exact(spectrum)
@@ -291,34 +290,35 @@ def _execute(cfg: RunConfig, algorithm: str, system: System, out_dir: Path,
     return trace
 
 
+def _run_algorithms(cfg: RunConfig) -> tuple[System, ExactSpectrum | None,
+                                               dict[str, AdaptTrace], int]:
+    """Build the system, compute its oracle once and run every configured
+    algorithm, writing its artifacts to out_dir (one algorithm) or
+    out_dir/<algorithm> (several).  Returns the exit status with the rest."""
+    system = build_system(cfg)
+    spectrum = _exact_reference(system)
+    single = len(cfg.algorithms) == 1
+    traces = {alg: _execute(cfg, alg, system,
+                            cfg.out_dir if single else cfg.out_dir / alg, spectrum)
+              for alg in cfg.algorithms}
+    converged = all(t.converged for t in traces.values())
+    return system, spectrum, traces, EXIT_OK if converged else EXIT_UNCONVERGED
+
+
 def cmd_run(cfg: RunConfig) -> int:
     """Run the configured algorithm(s); artifacts per algorithm."""
-    system = build_system(cfg)
-    spectrum = _exact_reference(system, cfg)
-    single = len(cfg.algorithms) == 1
-    all_converged = True
-    for alg in cfg.algorithms:
-        out = cfg.out_dir if single else cfg.out_dir / alg
-        trace = _execute(cfg, alg, system, out, spectrum)
-        all_converged &= trace.converged
+    system, _, _, status = _run_algorithms(cfg)
     _atomic_write(cfg.out_dir / "pool.json",
                   json.dumps(pool_to_json(system.pool), indent=1) + "\n")
-    return EXIT_OK if all_converged else EXIT_UNCONVERGED
+    return status
 
 
 def cmd_compare(cfg: RunConfig) -> int:
     """Run >= 2 algorithms on one Hamiltonian/pool/seed; aligned error CSV."""
     if len(cfg.algorithms) < 2:
         raise ConfigError("compare needs at least two algorithms")
-    system = build_system(cfg)
-    spectrum = _exact_reference(system, cfg)
+    _, spectrum, traces, status = _run_algorithms(cfg)
     exact = float(spectrum.eigenvalues[0]) if spectrum is not None else None
-    traces = {}
-    all_converged = True
-    for alg in cfg.algorithms:
-        trace = _execute(cfg, alg, system, cfg.out_dir / alg, spectrum)
-        traces[alg] = trace
-        all_converged &= trace.converged
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -341,7 +341,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         w.writerow(row)
     w.writerow(["chemical_accuracy"] + [repr(CHEMICAL_ACCURACY)] * len(cfg.algorithms))
     _atomic_write(cfg.out_dir / "compare.csv", buf.getvalue())
-    return EXIT_OK if all_converged else EXIT_UNCONVERGED
+    return status
 
 
 def _noise_basis(trace: AdaptTrace, system: System) -> SubspaceBasis:
@@ -367,7 +367,7 @@ def cmd_noise(cfg: RunConfig) -> int:
     """Monte Carlo tau sweep (importance sampling on and off) over a
     converged-quality subspace of an adapt-gcim run."""
     system = build_system(cfg)
-    trace = run_algorithm(ADAPT_GCIM, system.h, system.pool, system.reference,
+    trace = run_algorithm(system.h, system.pool, system.reference,
                           cfg.adapt_config(ADAPT_GCIM))
     basis = _noise_basis(trace, system)
     d = len(basis)
@@ -393,7 +393,7 @@ def cmd_resources(cfg: RunConfig, trace_path: str | Path | None = None) -> int:
     if not path.exists():
         raise FileNotFoundError(f"trace file not found: {path}")
     system = build_system(cfg)
-    spectrum = _exact_reference(system, cfg)
+    spectrum = _exact_reference(system)
     exact = float(spectrum.eigenvalues[0]) if spectrum is not None else None
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -416,12 +416,16 @@ def cmd_resources(cfg: RunConfig, trace_path: str | Path | None = None) -> int:
 
 
 def cmd_exact(cfg: RunConfig) -> int:
-    """Dump the exact low-lying spectrum of the configured Hamiltonian."""
+    """Dump the exact low-lying spectrum of the reference's sector."""
     system = build_system(cfg)
-    spectrum = exact_spectrum(system.h, k=cfg.exact_k)
+    spectrum = _exact_reference(system, k=cfg.exact_k)
+    if spectrum is None:
+        raise ResourceLimitError(
+            f"exact spectrum of {system.n_qubits} qubits exceeds the desk-scale limit")
     doc = {
         "source": system.source,
         "n_qubits": system.n_qubits,
+        "sector": spectrum.sector,
         "eigenvalues": [float(e) for e in spectrum.eigenvalues],
         "ground_energy": float(spectrum.eigenvalues[0]),
         "ground_state_top_amplitudes": spectrum.ground_state.top_amplitudes(),

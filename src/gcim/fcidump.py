@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fermion import FermionHamiltonian, FermionOperator, SpinOrbitalMap
+from .fermion import FermionOperator, down, up
 
 DUPLICATE_TOL = 1e-10
 
@@ -200,8 +200,7 @@ def dumps_fcidump(ints: SpatialIntegrals, tol: float = 0.0) -> str:
     return "\n".join(out) + "\n"
 
 
-def assemble_hamiltonian(ints: SpatialIntegrals,
-                         somap: SpinOrbitalMap | None = None) -> FermionHamiltonian:
+def assemble_hamiltonian(ints: SpatialIntegrals) -> FermionOperator:
     """Spin-orbital second-quantized Hamiltonian from spatial integrals.
 
     H = core + sum_{pq,s} h_pq a+_{ps} a_{qs}
@@ -209,10 +208,6 @@ def assemble_hamiltonian(ints: SpatialIntegrals,
     with interleaved spin-orbital indices; the output is Hermitian term
     by term.
     """
-    if somap is None:
-        somap = SpinOrbitalMap(ints.n_orb)
-    elif somap.n_spatial != ints.n_orb:
-        raise ValueError("spin-orbital map size mismatch")
     ints.check_symmetry()
     h = FermionOperator(constant=ints.core_energy)
     n = ints.n_orb
@@ -221,8 +216,8 @@ def assemble_hamiltonian(ints: SpatialIntegrals,
         for q in range(n):
             if abs(one[p, q]) < 1e-16:
                 continue
-            for sd in (False, True):
-                h.add_term(one[p, q], (somap.index(p, sd),), (somap.index(q, sd),))
+            for spin in (up, down):
+                h.add_term(one[p, q], (spin(p),), (spin(q),))
     for p in range(n):
         for q in range(n):
             for r in range(n):
@@ -230,9 +225,7 @@ def assemble_hamiltonian(ints: SpatialIntegrals,
                     v = two[p, q, r, s]
                     if abs(v) < 1e-16:
                         continue
-                    for sd1 in (False, True):
-                        for sd2 in (False, True):
-                            h.add_term(0.5 * v,
-                                       (somap.index(p, sd1), somap.index(r, sd2)),
-                                       (somap.index(s, sd2), somap.index(q, sd1)))
+                    for s1 in (up, down):
+                        for s2 in (up, down):
+                            h.add_term(0.5 * v, (s1(p), s2(r)), (s2(s), s1(q)))
     return h.simplify()

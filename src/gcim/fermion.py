@@ -7,12 +7,11 @@ convention the Hermitian conjugate of a canonical term is again canonical
 with (cre, ann) -> (reversed ann, reversed cre) and no extra sign.
 
 Spin orbitals are indexed interleaved: spatial orbital g with spin up maps
-to qubit 2g, spin down to 2g+1.
+to qubit 2g, spin down to 2g+1.  up() and down() are the one definition of
+that layout; every other module derives its spin-orbital indices from them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .pauli import PauliString, PauliSum
 
@@ -27,27 +26,6 @@ def up(g: int) -> int:
 def down(g: int) -> int:
     """Spin-down spin-orbital index of spatial orbital g."""
     return 2 * g + 1
-
-
-@dataclass(frozen=True)
-class SpinOrbitalMap:
-    """Interleaved spatial-to-spin-orbital indexing (2g up, 2g+1 down)."""
-
-    n_spatial: int
-
-    @property
-    def n_spin_orbitals(self) -> int:
-        return 2 * self.n_spatial
-
-    def index(self, g: int, spin_down: bool) -> int:
-        if not 0 <= g < self.n_spatial:
-            raise IndexError(f"spatial orbital {g} out of range")
-        return 2 * g + int(spin_down)
-
-    def spatial(self, so: int) -> tuple[int, bool]:
-        if not 0 <= so < self.n_spin_orbitals:
-            raise IndexError(f"spin orbital {so} out of range")
-        return so // 2, bool(so % 2)
 
 
 def _sort_with_sign(indices: tuple[int, ...], descending: bool) -> tuple[int, tuple[int, ...]] | None:
@@ -141,10 +119,6 @@ class FermionOperator:
 
     def __repr__(self) -> str:
         return f"FermionOperator(constant={self.constant}, terms={len(self.terms)})"
-
-
-# alias used where the operator plays the role of the molecular Hamiltonian
-FermionHamiltonian = FermionOperator
 
 
 def _jw_ladder(p: int, n_qubits: int, creation: bool) -> PauliSum:

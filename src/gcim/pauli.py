@@ -67,10 +67,6 @@ class PauliString:
         """Number of non-identity sites."""
         return (self.x | self.z).bit_count()
 
-    def support(self) -> list[int]:
-        mask = self.x | self.z
-        return [j for j in range(self.n) if (mask >> j) & 1]
-
     def __str__(self) -> str:
         return self.label
 
@@ -125,11 +121,6 @@ class PauliSum:
     @classmethod
     def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(n, {PauliString.identity(n): coeff})
-
-    def copy(self) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        out.terms = dict(self.terms)
-        return out
 
     def __len__(self) -> int:
         return len(self.terms)

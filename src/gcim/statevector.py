@@ -18,6 +18,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .fermion import down, up
 from .pauli import PauliSum, ResourceLimitError
 
 _DENSE_EIG_MAX_DIM = 1024
@@ -182,24 +183,18 @@ class StateVector:
 
 
 def hf_state(n_qubits: int, n_alpha: int, n_beta: int) -> StateVector:
-    """Hartree-Fock determinant under interleaved spin-orbital ordering.
-
-    Occupies spin orbitals 0, 2, ..., 2(n_alpha-1) and 1, 3, ...,
-    2(n_beta-1).
-    """
+    """Hartree-Fock determinant: spatial orbitals 0..n_alpha-1 spin up and
+    0..n_beta-1 spin down."""
     if n_alpha < 0 or n_beta < 0:
         raise ValueError("negative occupation")
     index = 0
-    for a in range(n_alpha):
-        bit = 2 * a
-        if bit >= n_qubits:
-            raise ValueError(f"occupation overflow: alpha orbital {a} needs qubit {bit}")
-        index |= 1 << bit
-    for b in range(n_beta):
-        bit = 2 * b + 1
-        if bit >= n_qubits:
-            raise ValueError(f"occupation overflow: beta orbital {b} needs qubit {bit}")
-        index |= 1 << bit
+    for spin, count in ((up, n_alpha), (down, n_beta)):
+        for g in range(count):
+            bit = spin(g)
+            if bit >= n_qubits:
+                raise ValueError(f"occupation overflow: spin orbital {bit} "
+                                 f"outside {n_qubits} qubits")
+            index |= 1 << bit
     return StateVector.basis_state(n_qubits, index)
 
 
@@ -300,12 +295,12 @@ class ExactSpectrum:
 
 
 def _sector_indices(reference: StateVector) -> tuple[np.ndarray, tuple[int, int]]:
-    """Basis indices with the reference's alpha (even-bit) and beta
-    (odd-bit) occupation counts, and those two counts."""
-    n = reference.n_qubits
-    idx = np.arange(1 << n)
-    n_alpha = np.bitwise_count(idx & sum(1 << b for b in range(0, n, 2)))
-    n_beta = np.bitwise_count(idx & sum(1 << b for b in range(1, n, 2)))
+    """Basis indices with the reference's spin-up and spin-down occupation
+    counts, and those two counts."""
+    n_spatial = (reference.n_qubits + 1) // 2  # an odd register's top qubit is spin up
+    idx = np.arange(1 << reference.n_qubits)
+    n_alpha = np.bitwise_count(idx & sum(1 << up(g) for g in range(n_spatial)))
+    n_beta = np.bitwise_count(idx & sum(1 << down(g) for g in range(n_spatial)))
     support = np.flatnonzero(reference.amplitudes)
     occ = (int(n_alpha[support[0]]), int(n_beta[support[0]]))
     if np.any(n_alpha[support] != occ[0]) or np.any(n_beta[support] != occ[1]):

@@ -185,12 +185,27 @@ def test_resources_empty_trace_header_only(tmp_path):
 
 
 def test_exact_dump(tmp_path, toy):
-    h, _, _ = toy
+    h, _, ref = toy
     cfg_path = _write_config(tmp_path, _toy_doc(tmp_path, exact_k=3))
     assert main(["exact", "--config", str(cfg_path)]) == EXIT_OK
     doc = json.loads((tmp_path / "out" / "exact.json").read_text())
-    spec = exact_spectrum(h, k=3)
+    spec = exact_spectrum(h, k=3, reference=ref)
     assert np.allclose(doc["eigenvalues"], spec.eigenvalues)
+    assert doc["sector"] == [1, 1]
+
+
+def test_exact_uses_reference_sector_like_run(tmp_path):
+    # at U/t = 8 the full Fock space holds a lower one-electron state (-1.0);
+    # exact.json reports the reference's sector, the same oracle run uses
+    doc = _toy_doc(tmp_path, hamiltonian={"toy": {"t": 1.0, "u": 8.0}})
+    cfg_path = _write_config(tmp_path, doc)
+    assert main(["exact", "--config", str(cfg_path)]) == EXIT_OK
+    exact = json.loads((tmp_path / "out" / "exact.json").read_text())
+    assert exact["sector"] == [1, 1]
+    assert abs(exact["ground_energy"] - (4.0 - 2.0 * np.sqrt(5.0))) < 1e-12
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert abs(exact["ground_energy"] - summary["exact_energy"]) < 1e-12
 
 
 def test_pauli_json_source(tmp_path, toy):

@@ -10,7 +10,7 @@ from gcim.fcidump import (
     dumps_fcidump,
     parse_fcidump,
 )
-from gcim.fermion import SpinOrbitalMap, jordan_wigner
+from gcim.fermion import FermionOperator, down, jordan_wigner, up
 from gcim.pauli import jw_to_matrix
 
 from helpers import fermion_dense
@@ -147,25 +147,19 @@ def test_assemble_matches_bitwise_oracle():
     assert h.terms == h.dagger().terms
     dense_jw = jw_to_matrix(jordan_wigner(h, 2 * n))
     # independent route: occupation-basis bit manipulation, no Pauli algebra
-    somap = SpinOrbitalMap(n)
-    from gcim.fermion import FermionOperator
-
     oracle = FermionOperator(constant=ints.core_energy)
     for p in range(n):
         for q in range(n):
-            for sd in (False, True):
-                oracle.add_term(one[p, q], (somap.index(p, sd),),
-                                (somap.index(q, sd),))
+            for spin in (up, down):
+                oracle.add_term(one[p, q], (spin(p),), (spin(q),))
     for p in range(n):
         for q in range(n):
             for r in range(n):
                 for s in range(n):
-                    for sd1 in (False, True):
-                        for sd2 in (False, True):
-                            oracle.add_term(
-                                0.5 * two[p, q, r, s],
-                                (somap.index(p, sd1), somap.index(r, sd2)),
-                                (somap.index(s, sd2), somap.index(q, sd1)))
+                    for s1 in (up, down):
+                        for s2 in (up, down):
+                            oracle.add_term(0.5 * two[p, q, r, s],
+                                            (s1(p), s2(r)), (s2(s), s1(q)))
     dense_direct = fermion_dense(oracle, 2 * n)
     assert np.allclose(dense_jw, dense_direct, atol=1e-12)
     assert np.max(np.abs(dense_jw - dense_jw.conj().T)) < 1e-12

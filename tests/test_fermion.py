@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcim.fermion import FermionOperator, SpinOrbitalMap, jordan_wigner
+from gcim.fermion import FermionOperator, jordan_wigner
 from gcim.pauli import PauliSum, jw_to_matrix
 
 from helpers import fermion_dense
@@ -104,19 +104,6 @@ def test_normal_ordering_signs():
     op2 = FermionOperator()
     op2.add_term(-1.0, (2, 0), (1,))
     assert op1.terms == op2.terms
-
-
-def test_spin_orbital_map():
-    m = SpinOrbitalMap(3)
-    assert m.index(1, spin_down=False) == 2
-    assert m.index(1, spin_down=True) == 3
-    assert m.spatial(4) == (2, False)
-    seen = {m.index(g, sd) for g in range(3) for sd in (False, True)}
-    assert seen == set(range(6))
-    with pytest.raises(IndexError):
-        m.index(3, False)
-    with pytest.raises(IndexError):
-        m.spatial(6)
 
 
 def test_jw_index_overflow():
