@@ -11,11 +11,6 @@ from .adapt import (
     AdaptTrace,
     gcim_energy_gradient,
     pool_gradients,
-    run_adapt_gcim,
-    run_adapt_gcim_mn,
-    run_adapt_vqe,
-    run_adapt_vqe_gcim,
-    run_adapt_vqe_gcim_one_shot,
     run_algorithm,
     select_operator,
     ucc_translate,

@@ -14,6 +14,8 @@ Five variants share the machinery here:
                          over all selected rotations plus the final ansatz.
 * adapt-gcim-mn       -- adapt-gcim with at most n optimizer rounds every
                          m-th iteration.
+
+run_algorithm runs the variant that AdaptConfig.algorithm names.
 """
 
 from __future__ import annotations
@@ -62,22 +64,21 @@ class AdaptConfig:
     t_usr: int = 10                 # user cap on consecutive stable iterations
     max_iterations: int = 200
     s_threshold: float = DEFAULT_S_THRESHOLD
-    jitter: float | None = None
     m: int = 5
     n: int = 2
-    vqe_round_budget: int = 200
-    vqe_gtol: float = 1e-8
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("gcim_tol", "vqe_grad_tol", "vqe_gtol"):
+        for name in ("gcim_tol", "vqe_grad_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.t_usr < 1 or self.max_iterations < 1:
             raise ValueError("iteration counts must be positive")
         if self.m < 1 or self.n < 0:
             raise ValueError("need m >= 1 and n >= 0")
+        if self.algorithm == ADAPT_GCIM_MN and self.n < 1:
+            raise ValueError("the (m, n) variant needs n >= 1")
 
 
 @dataclass
@@ -115,7 +116,6 @@ class AdaptTrace:
     oracle_sector: tuple[int, int] | None = None
     energy_error: float | None = None
     overlap_deficit_value: float | None = None
-    vqe_recipe: BasisRecipe | None = None
 
     @property
     def iterations(self) -> int:
@@ -192,6 +192,22 @@ def _forward_states(ops: list[PoolOperator], thetas: np.ndarray,
     return states
 
 
+def _reverse_sweep(bra: StateVector, ops: list[PoolOperator], thetas: np.ndarray,
+                   states: list[StateVector]) -> np.ndarray:
+    """<bra| G_last ... G_{s+1} A_s |psi_{s+1}> for every s (reverse mode).
+
+    states are _forward_states' output; bra is pulled back through one
+    rotation per step instead of re-preparing each partial product.
+    """
+    vals = np.zeros(len(ops), dtype=complex)
+    b = bra
+    for s in reversed(range(len(ops))):
+        vals[s] = b.inner(apply_paulisum(ops[s].qubit, states[s + 1]))
+        if s:
+            b = exp_apply(ops[s].qubit, -float(thetas[s]), b)
+    return vals
+
+
 def ansatz_energy_gradient(h: PauliSum, ops: list[PoolOperator], thetas: np.ndarray,
                            reference: StateVector) -> tuple[float, np.ndarray]:
     """E(theta) = <ref|prod G† H prod G|ref> and dE/dtheta (reverse mode)."""
@@ -199,14 +215,7 @@ def ansatz_energy_gradient(h: PauliSum, ops: list[PoolOperator], thetas: np.ndar
     psi = states[-1]
     w = apply_paulisum(h, psi)
     energy = psi.inner(w).real
-    grads = np.zeros(len(ops))
-    b = w
-    for s in reversed(range(len(ops))):
-        a_f = apply_paulisum(ops[s].qubit, states[s + 1])
-        grads[s] = 2.0 * b.inner(a_f).real
-        if s:
-            b = exp_apply(ops[s].qubit, -float(thetas[s]), b)
-    return float(energy), grads
+    return float(energy), 2.0 * _reverse_sweep(w, ops, thetas, states).real
 
 
 def ansatz_overlap_gradient(target: StateVector, ops: list[PoolOperator],
@@ -214,20 +223,12 @@ def ansatz_overlap_gradient(target: StateVector, ops: list[PoolOperator],
                             ) -> tuple[complex, np.ndarray]:
     """<target|psi(theta)> and its complex derivative per parameter."""
     states = _forward_states(ops, thetas, reference)
-    ov = target.inner(states[-1])
-    grads = np.zeros(len(ops), dtype=complex)
-    b = target
-    for s in reversed(range(len(ops))):
-        grads[s] = b.inner(apply_paulisum(ops[s].qubit, states[s + 1]))
-        if s:
-            b = exp_apply(ops[s].qubit, -float(thetas[s]), b)
-    return ov, grads
+    return target.inner(states[-1]), _reverse_sweep(target, ops, thetas, states)
 
 
 def vqe_minimize(h: PauliSum, pool: list[PoolOperator], recipe: BasisRecipe,
                  reference: StateVector, theta0: np.ndarray | None = None,
-                 gtol: float = 1e-8, budget: int = 200
-                 ) -> tuple[np.ndarray, float, int]:
+                 budget: int = 200) -> tuple[np.ndarray, float, int]:
     """BFGS minimization of the product-ansatz energy with analytic gradients.
 
     Returns (theta*, E(theta*), optimizer rounds).  Budget exhaustion is not
@@ -239,13 +240,9 @@ def vqe_minimize(h: PauliSum, pool: list[PoolOperator], recipe: BasisRecipe,
     if theta0 is None:
         theta0 = np.array(recipe.thetas())
     theta0 = np.asarray(theta0, dtype=float)
-
-    def fun(th):
-        e, g = ansatz_energy_gradient(h, ops, th, reference)
-        return e, g
-
-    res = minimize(fun, theta0, jac=True, method="BFGS",
-                   options={"gtol": gtol, "maxiter": budget})
+    res = minimize(lambda th: ansatz_energy_gradient(h, ops, th, reference),
+                   theta0, jac=True, method="BFGS",
+                   options={"gtol": 1e-8, "maxiter": budget})
     return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit)
 
 
@@ -259,8 +256,9 @@ def _gcim_termination_window(pool_size: int, n_selected: int, t_usr: int) -> int
 
 
 def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
-                     config: AdaptConfig, optimize_every: int | None,
-                     opt_round_cap: int) -> AdaptTrace:
+                     config: AdaptConfig) -> AdaptTrace:
+    """adapt-gcim, or adapt-gcim-mn with config.n optimizer rounds every
+    config.m-th iteration."""
     trace = AdaptTrace(algorithm=config.algorithm)
     basis = SubspaceBasis(reference=reference, pool=pool)
     product = BasisRecipe()
@@ -283,14 +281,13 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
 
         tick = time.perf_counter()
         opt_rounds = 0
-        if optimize_every is not None and k % optimize_every == 0 and opt_round_cap > 0:
+        if config.algorithm == ADAPT_GCIM_MN and k % config.m == 0:
             # on optimization iterations the fresh parameter starts at 0 (the
             # quasi-Newton convention); plain iterations keep theta_init
             theta0 = np.array(product.thetas())
             theta0[-1] = 0.0
             thetas, _, opt_rounds = vqe_minimize(
-                h, pool, product, reference, theta0=theta0,
-                gtol=config.vqe_gtol, budget=opt_round_cap)
+                h, pool, product, reference, theta0=theta0, budget=config.n)
             product = product.with_thetas(thetas)
             surrogate = prepare_state(product, pool, reference)
         else:
@@ -303,8 +300,7 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
             # exp_apply calls in the same order as prepare_state would make
             basis.append(recipe, state=surrogate if recipe == product else None)
 
-        result = solve_gevp(*build_matrices(basis, h), config.s_threshold,
-                            jitter=config.jitter)
+        result = solve_gevp(*build_matrices(basis, h), config.s_threshold)
         eps0 = result.ground_energy
         trace.time_energy += time.perf_counter() - tick
 
@@ -341,29 +337,16 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
     return trace
 
 
-def run_adapt_gcim(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
-                   config: AdaptConfig | None = None) -> AdaptTrace:
-    """Optimization-free ADAPT-GCIM (two generating functions per iteration)."""
-    config = config or AdaptConfig(algorithm=ADAPT_GCIM)
-    return _run_gcim_family(h, pool, reference, config, optimize_every=None,
-                            opt_round_cap=0)
-
-
-def run_adapt_gcim_mn(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
-                      config: AdaptConfig) -> AdaptTrace:
-    """ADAPT-GCIM with at most config.n optimizer rounds every config.m iterations."""
-    if config.n < 1:
-        raise ValueError("the (m, n) variant needs n >= 1")
-    return _run_gcim_family(h, pool, reference, config, optimize_every=config.m,
-                            opt_round_cap=config.n)
-
-
 # ---------------------------------------------------------------------------
 # VQE family
 
 
 def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
-                    config: AdaptConfig, gcim_each_iteration: bool) -> AdaptTrace:
+                    config: AdaptConfig) -> AdaptTrace:
+    """adapt-vqe; adapt-vqe-gcim solves the subspace after every iteration,
+    adapt-vqe-gcim-1 once at the end over one generating function per
+    rotation of the final ansatz plus the ansatz itself."""
+    each_iteration = config.algorithm == ADAPT_VQE_GCIM
     trace = AdaptTrace(algorithm=config.algorithm)
     recipe = BasisRecipe()
     thetas = np.zeros(0)
@@ -374,7 +357,7 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
 
     for k in range(1, config.max_iterations + 1):
         tick = time.perf_counter()
-        grads = pool_gradients(state, h, pool)
+        sel, grads = select_operator(state, h, pool)
         trace.time_gradients += time.perf_counter() - tick
         gsum = float(np.sum(np.abs(grads)))
         if gsum < config.vqe_grad_tol:
@@ -382,23 +365,19 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
             trace.reason = "gradient_norm"
             break
 
-        sel = _first_largest(np.abs(grads))
         recipe = recipe.extended(sel, 0.0)
         thetas = np.append(thetas, 0.0)
 
         tick = time.perf_counter()
-        thetas, energy, rounds = vqe_minimize(
-            h, pool, recipe, reference, theta0=thetas,
-            gtol=config.vqe_gtol, budget=config.vqe_round_budget)
+        thetas, energy, rounds = vqe_minimize(h, pool, recipe, reference, theta0=thetas)
         recipe = recipe.with_thetas(thetas)
         state = prepare_state(recipe, pool, reference)
 
         eps0 = kept = eigenvalues = None
-        if gcim_each_iteration:
+        if each_iteration:
             basis.append(BasisRecipe((recipe.steps[-1],)))
             basis.append(recipe, dedupe=False, state=state)
-            result = solve_gevp(*build_matrices(basis, h), config.s_threshold,
-                                jitter=config.jitter)
+            result = solve_gevp(*build_matrices(basis, h), config.s_threshold)
             eps0 = result.ground_energy
             kept = result.kept_dim
             eigenvalues = [float(e) for e in result.eigenvalues]
@@ -413,7 +392,7 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
             gradients=[float(g) for g in grads],
             gradient_max=float(np.max(np.abs(grads))), gradient_sum=gsum,
             epsilon0=eps0, vqe_energy=float(energy),
-            subspace_dim=len(basis) if gcim_each_iteration else len(recipe),
+            subspace_dim=len(basis) if each_iteration else len(recipe),
             kept_dim=kept, opt_rounds=rounds,
             product_recipe=list(recipe.steps), eigenvalues=eigenvalues))
     else:
@@ -421,67 +400,28 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
 
     trace.final_vqe_energy = float(energy)
     trace.final_state = state
-    if gcim_each_iteration and result is not None:
+    if config.algorithm == ADAPT_VQE_GCIM_1 and len(recipe) > 0:
+        for step in recipe.steps:
+            basis.append(BasisRecipe((step,)), dedupe=False)
+        basis.append(recipe, dedupe=False, state=state)
+        tick = time.perf_counter()
+        result = solve_gevp(*build_matrices(basis, h), config.s_threshold)
+        trace.time_energy += time.perf_counter() - tick
+        if result.ground_energy > energy + MONOTONE_SLACK:
+            raise RuntimeError("one-shot eigenvalue exceeds the variational bound")
+    if result is not None:
         trace.attach_subspace(result, basis)
     else:
         trace.final_energy = float(energy)
-    trace.vqe_recipe = recipe
-    return trace
-
-
-def run_adapt_vqe(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
-                  config: AdaptConfig | None = None) -> AdaptTrace:
-    """Reference ADAPT-VQE: gradient selection plus full re-optimization."""
-    config = config or AdaptConfig(algorithm=ADAPT_VQE)
-    return _run_vqe_family(h, pool, reference, config, gcim_each_iteration=False)
-
-
-def run_adapt_vqe_gcim(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
-                       config: AdaptConfig | None = None) -> AdaptTrace:
-    """ADAPT-VQE with a subspace eigenvalue solve after each iteration."""
-    config = config or AdaptConfig(algorithm=ADAPT_VQE_GCIM)
-    return _run_vqe_family(h, pool, reference, config, gcim_each_iteration=True)
-
-
-def run_adapt_vqe_gcim_one_shot(h: PauliSum, pool: list[PoolOperator],
-                                reference: StateVector,
-                                config: AdaptConfig | None = None) -> AdaptTrace:
-    """Complete ADAPT-VQE, then one eigenvalue solve over all its rotations.
-
-    The working subspace holds one generating function per Givens rotation in
-    the final ansatz plus the ansatz itself.
-    """
-    config = config or AdaptConfig(algorithm=ADAPT_VQE_GCIM_1)
-    trace = _run_vqe_family(h, pool, reference, config, gcim_each_iteration=False)
-    recipe = trace.vqe_recipe
-    basis = SubspaceBasis(reference=reference, pool=pool)
-    for step in recipe.steps:
-        basis.append(BasisRecipe((step,)), dedupe=False)
-    if len(recipe) > 0:
-        basis.append(recipe, dedupe=False, state=trace.final_state)
-    if len(basis) == 0:
-        return trace
-    h_mat, s_mat = build_matrices(basis, h)
-    tick = time.perf_counter()
-    result = solve_gevp(h_mat, s_mat, config.s_threshold, jitter=config.jitter)
-    trace.time_energy += time.perf_counter() - tick
-    if result.ground_energy > trace.final_vqe_energy + MONOTONE_SLACK:
-        raise RuntimeError("one-shot eigenvalue exceeds the variational bound")
-    trace.attach_subspace(result, basis)
     return trace
 
 
 def run_algorithm(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
                   config: AdaptConfig) -> AdaptTrace:
     """Run the variant that config.algorithm names."""
-    runner = {
-        ADAPT_GCIM: run_adapt_gcim,
-        ADAPT_VQE: run_adapt_vqe,
-        ADAPT_VQE_GCIM: run_adapt_vqe_gcim,
-        ADAPT_VQE_GCIM_1: run_adapt_vqe_gcim_one_shot,
-        ADAPT_GCIM_MN: run_adapt_gcim_mn,
-    }[config.algorithm]
-    return runner(h, pool, reference, config)
+    if config.algorithm in (ADAPT_GCIM, ADAPT_GCIM_MN):
+        return _run_gcim_family(h, pool, reference, config)
+    return _run_vqe_family(h, pool, reference, config)
 
 
 # ---------------------------------------------------------------------------

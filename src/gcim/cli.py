@@ -89,7 +89,7 @@ def load_config(path: str | Path, seed: int | None = None,
         jsonschema.validate(doc, schema)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid config {path}: {exc.message}") from exc
-    return RunConfig(
+    cfg = RunConfig(
         hamiltonian=doc["hamiltonian"],
         algorithms=list(doc.get("algorithms", [ADAPT_GCIM])),
         adapt_kwargs=dict(doc.get("adapt", {})),
@@ -103,6 +103,13 @@ def load_config(path: str | Path, seed: int | None = None,
         seed=int(seed if seed is not None else doc.get("seed", 0)),
         dump_matrices=bool(doc.get("dump_matrices", False)),
     )
+    # reject a bad (algorithm, adapt) pair before any algorithm runs
+    for algorithm in cfg.algorithms:
+        try:
+            cfg.adapt_config(algorithm)
+        except ValueError as exc:
+            raise ConfigError(f"invalid config {path}: {exc}") from exc
+    return cfg
 
 
 @dataclass

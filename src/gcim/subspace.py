@@ -80,8 +80,8 @@ class SubspaceBasis:
     """Recipes plus their cached statevectors.
 
     For a recipe-built basis the cached states regenerate exactly from
-    (reference, pool, recipe); orthonormalized bases returned by
-    orthogonalize_basis keep their source recipes for provenance only.
+    (reference, pool, recipe); bases returned by orthogonalize_basis keep
+    their source recipes for provenance only.
     build_matrices keeps its projected pair in `pair`.
     """
 
@@ -89,7 +89,6 @@ class SubspaceBasis:
     pool: list[PoolOperator]
     recipes: list[BasisRecipe] = field(default_factory=list)
     states: list[StateVector] = field(default_factory=list)
-    orthonormalized: bool = False
     pair: ProjectedPair | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -190,14 +189,12 @@ def _tie_break(eigenvalues: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray
 
 
 def solve_gevp(h_mat: np.ndarray, s_mat: np.ndarray,
-               s_threshold: float = DEFAULT_S_THRESHOLD,
-               jitter: float | None = None) -> GevpResult:
+               s_threshold: float = DEFAULT_S_THRESHOLD) -> GevpResult:
     """Solve the projected pair with overlap-eigenvalue truncation.
 
     S = U D U†; directions with D_ii <= s_threshold are dropped, the
     problem is solved in the kept eigenspace and eigenvectors are
-    back-transformed to the original coordinates.  jitter (optional)
-    additionally offsets the S diagonal before decomposition.
+    back-transformed to the original coordinates.
     """
     h_mat = np.asarray(h_mat, dtype=complex)
     s_mat = np.asarray(s_mat, dtype=complex)
@@ -205,8 +202,6 @@ def solve_gevp(h_mat: np.ndarray, s_mat: np.ndarray,
         raise ValueError("matrix shape mismatch")
     h_mat = 0.5 * (h_mat + h_mat.conj().T)
     s_mat = 0.5 * (s_mat + s_mat.conj().T)
-    if jitter is not None:
-        s_mat = s_mat + jitter * np.eye(s_mat.shape[0])
     d, u = np.linalg.eigh(s_mat)
     keep = d > s_threshold
     if not np.any(keep):
@@ -265,8 +260,7 @@ def orthogonalize_basis(basis: SubspaceBasis, drop_tol: float = 1e-10) -> Subspa
         kept_states.append(StateVector.from_array(v / nrm))
         kept_recipes.append(recipe)
     return SubspaceBasis(reference=basis.reference, pool=basis.pool,
-                         recipes=kept_recipes, states=kept_states,
-                         orthonormalized=True)
+                         recipes=kept_recipes, states=kept_states)
 
 
 def excitation_energies(result: GevpResult) -> list[float]:

@@ -27,9 +27,7 @@ from gcim import (
     mc_experiment,
     overlap_deficit,
     parse_fcidump,
-    run_adapt_gcim,
-    run_adapt_gcim_mn,
-    run_adapt_vqe_gcim,
+    run_algorithm,
     solve_gevp,
     toy_system,
 )
@@ -75,7 +73,7 @@ def test_criterion_01_pool_exhaustion_exactness(data_dir):
             systems.append((path.stem, _load_system(path)))
     worst_err, worst_deficit = 0.0, 0.0
     for name, (h, pool, ref) in systems:
-        trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=10))
+        trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=10))
         trace.attach_exact(exact_spectrum(h, k=1))
         worst_err = max(worst_err, abs(trace.energy_error))
         worst_deficit = max(worst_deficit, trace.overlap_deficit_value)
@@ -205,10 +203,8 @@ def test_criterion_04_monotone_convergence(data_dir):
     worst_rise = -np.inf
     count = 0
     for h, pool, ref in systems:
-        for runner, cfg in (
-                (run_adapt_gcim, AdaptConfig(t_usr=10)),
-                (run_adapt_vqe_gcim, AdaptConfig(algorithm=ADAPT_VQE_GCIM))):
-            trace = runner(h, pool, ref, cfg)
+        for cfg in (AdaptConfig(t_usr=10), AdaptConfig(algorithm=ADAPT_VQE_GCIM)):
+            trace = run_algorithm(h, pool, ref, cfg)
             eps = trace.epsilon0_series()
             rises = [b - a for a, b in zip(eps, eps[1:])]
             worst_rise = max(worst_rise, max(rises, default=-np.inf))
@@ -454,8 +450,8 @@ def test_criterion_11_intermittent_truncated_optimization(data_dir):
     ok = True
     details = []
     for name, (h, pool, ref) in systems:
-        plain = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=10))
-        mn = run_adapt_gcim_mn(
+        plain = run_algorithm(h, pool, ref, AdaptConfig(t_usr=10))
+        mn = run_algorithm(
             h, pool, ref,
             AdaptConfig(algorithm=ADAPT_GCIM_MN, m=5, n=2, t_usr=10))
         exact = exact_spectrum(h, k=1).eigenvalues[0]
@@ -472,7 +468,7 @@ def test_criterion_12_molecular_golden_run(h4_path):
     h, pool, ref = _load_system(h4_path)
     first_idx, _ = select_operator(ref, h, pool)
     first_ok = pool[first_idx].label == "dS(0,1,2,3)"
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=10))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=10))
     trace.attach_exact(exact_spectrum(h, k=1))
     err_ok = abs(trace.energy_error) < 1e-8
     _report(12, "molecular golden run",

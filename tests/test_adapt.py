@@ -12,11 +12,6 @@ from gcim.adapt import (
     ansatz_energy_gradient,
     gcim_energy_gradient,
     pool_gradients,
-    run_adapt_gcim,
-    run_adapt_gcim_mn,
-    run_adapt_vqe,
-    run_adapt_vqe_gcim,
-    run_adapt_vqe_gcim_one_shot,
     run_algorithm,
     select_operator,
     ucc_translate,
@@ -121,7 +116,7 @@ def test_brillouin_structural_zeros():
 
 def test_adapt_gcim_toy_exact(toy, toy_spectrum):
     h, pool, ref = toy
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
     trace.attach_exact(toy_spectrum)
     assert trace.converged
     assert abs(trace.energy_error) < 1e-10
@@ -134,8 +129,8 @@ def test_adapt_gcim_toy_exact(toy, toy_spectrum):
 
 def test_adapt_gcim_deterministic(toy):
     h, pool, ref = toy
-    t1 = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
-    t2 = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
+    t1 = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
+    t2 = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
     assert [r.selected_index for r in t1.records] == \
         [r.selected_index for r in t2.records]
     assert [r.epsilon0 for r in t1.records] == [r.epsilon0 for r in t2.records]
@@ -144,7 +139,7 @@ def test_adapt_gcim_deterministic(toy):
 def test_adapt_gcim_basis_states_match_prepare_state(h4):
     # product states come from the running surrogate, not from prepare_state
     h, pool, ref = h4
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(max_iterations=6))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(max_iterations=6))
     assert any(len(r) > 1 for r in trace.basis.recipes)
     for recipe, state in zip(trace.basis.recipes, trace.basis.states):
         assert np.array_equal(state.amplitudes,
@@ -153,14 +148,14 @@ def test_adapt_gcim_basis_states_match_prepare_state(h4):
 
 def test_adapt_gcim_no_reselection(toy):
     h, pool, ref = toy
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3, max_iterations=10))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3, max_iterations=10))
     sel = [r.selected_index for r in trace.records]
     assert len(sel) == len(set(sel))
 
 
 def test_adapt_vqe_toy(toy, toy_spectrum):
     h, pool, ref = toy
-    trace = run_adapt_vqe(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE))
     assert trace.converged and trace.reason == "gradient_norm"
     assert abs(trace.final_vqe_energy - toy_spectrum.eigenvalues[0]) < 1e-8
     energies = [r.vqe_energy for r in trace.records]
@@ -169,7 +164,7 @@ def test_adapt_vqe_toy(toy, toy_spectrum):
 
 def test_adapt_vqe_unconverged_flag(toy):
     h, pool, ref = toy
-    trace = run_adapt_vqe(h, pool, ref,
+    trace = run_algorithm(h, pool, ref,
                           AdaptConfig(algorithm=ADAPT_VQE, max_iterations=1))
     assert not trace.converged and trace.reason == "max_iterations"
 
@@ -219,19 +214,19 @@ def test_analytic_gradient_matches_finite_difference(toy):
 
 def test_adapt_vqe_gcim_bound_and_dims(toy, toy_spectrum):
     h, pool, ref = toy
-    trace = run_adapt_vqe_gcim(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE_GCIM))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE_GCIM))
     for rec in trace.records:
         assert rec.epsilon0 <= rec.vqe_energy + 1e-10
         assert rec.subspace_dim == 2 * rec.iteration
     assert abs(trace.final_energy - toy_spectrum.eigenvalues[0]) < 1e-8
 
-    vqe = run_adapt_vqe(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE))
+    vqe = run_algorithm(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE))
     assert trace.final_energy <= vqe.final_vqe_energy + 1e-10
 
 
 def test_adapt_vqe_gcim_single_iteration_dims(toy):
     h, pool, ref = toy
-    trace = run_adapt_vqe_gcim(
+    trace = run_algorithm(
         h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE_GCIM, max_iterations=1))
     assert trace.records[-1].subspace_dim == 2
     assert trace.records[-1].kept_dim == 1  # duplicate directions truncated
@@ -241,20 +236,21 @@ def test_adapt_vqe_gcim_single_iteration_dims(toy):
 
 def test_one_shot_dimension_and_bound(toy, toy_spectrum):
     h, pool, ref = toy
-    trace = run_adapt_vqe_gcim_one_shot(
+    trace = run_algorithm(
         h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE_GCIM_1))
-    assert len(trace.basis) == len(trace.vqe_recipe) + 1
+    assert len(trace.basis) == len(trace.records[-1].product_recipe) + 1
     assert trace.final_energy <= trace.final_vqe_energy + 1e-10
     assert abs(trace.final_energy - toy_spectrum.eigenvalues[0]) < 1e-8
 
 
 def test_one_shot_single_rotation_matches_two_by_two(toy):
     h, pool, ref = toy
-    trace = run_adapt_vqe_gcim_one_shot(
+    trace = run_algorithm(
         h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE_GCIM_1, max_iterations=1))
     # one rotation: basis = {G(theta*)|ref>, ansatz} (identical states)
     assert len(trace.basis) == 2
-    state = prepare_state(trace.vqe_recipe, pool, ref)
+    recipe = BasisRecipe.from_steps(trace.records[-1].product_recipe)
+    state = prepare_state(recipe, pool, ref)
     e = expectation(state, h, state).real
     h22 = np.full((2, 2), e, dtype=complex)
     s22 = np.ones((2, 2), dtype=complex)
@@ -264,8 +260,8 @@ def test_one_shot_single_rotation_matches_two_by_two(toy):
 
 def test_gcim_mn_limits(toy):
     h, pool, ref = toy
-    plain = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
-    frozen = run_adapt_gcim_mn(
+    plain = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
+    frozen = run_algorithm(
         h, pool, ref,
         AdaptConfig(algorithm=ADAPT_GCIM_MN, m=10_000, n=2, t_usr=3))
     assert [r.selected_index for r in frozen.records] == \
@@ -275,11 +271,11 @@ def test_gcim_mn_limits(toy):
     assert frozen.total_opt_rounds == 0
 
     # m=1 with a generous budget follows the optimized-surrogate trajectory
-    m1 = run_adapt_gcim_mn(
+    m1 = run_algorithm(
         h, pool, ref,
         AdaptConfig(algorithm=ADAPT_GCIM_MN, m=1, n=200, t_usr=3))
-    vg = run_adapt_vqe_gcim(h, pool, ref,
-                            AdaptConfig(algorithm=ADAPT_VQE_GCIM, max_iterations=2))
+    vg = run_algorithm(h, pool, ref,
+                       AdaptConfig(algorithm=ADAPT_VQE_GCIM, max_iterations=2))
     assert [r.selected_index for r in m1.records[:2]] == \
         [r.selected_index for r in vg.records[:2]]
 
@@ -287,13 +283,16 @@ def test_gcim_mn_limits(toy):
 def test_gcim_mn_round_budget(toy, toy_spectrum):
     h, pool, ref = toy
     cfg = AdaptConfig(algorithm=ADAPT_GCIM_MN, m=2, n=2, t_usr=3)
-    trace = run_adapt_gcim_mn(h, pool, ref, cfg)
+    trace = run_algorithm(h, pool, ref, cfg)
     calls = sum(1 for r in trace.records if r.iteration % 2 == 0)
     assert trace.total_opt_rounds <= 2 * calls
     assert abs(trace.final_energy - toy_spectrum.eigenvalues[0]) < 1e-8
-    with pytest.raises(ValueError):
-        run_adapt_gcim_mn(h, pool, ref,
-                          AdaptConfig(algorithm=ADAPT_GCIM_MN, m=2, n=0))
+
+
+def test_gcim_mn_rejects_zero_rounds_at_construction():
+    with pytest.raises(ValueError, match="n >= 1"):
+        AdaptConfig(algorithm=ADAPT_GCIM_MN, n=0)
+    AdaptConfig(algorithm=ADAPT_GCIM, n=0)  # only the (m, n) variant uses n
 
 
 def _canonical_gradient_subspace(rng, pool, ref, n_rot=3, s_min=1e-6):
@@ -392,7 +391,7 @@ def test_ucc_translate_deficit_bounded_and_improving(toy):
     # only boundedness and improvement are asserted here; the quantitative
     # anchor runs on the molecular system below
     h, pool, ref = toy
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
     target = trace.final_state
     recipe = uccsd_recipe(pool, n_occ_spatial=1)
     start_deficit = overlap_deficit(target, ref)
@@ -405,9 +404,7 @@ def test_ucc_translate_reaches_gcim_ground_molecular(h4):
     # canonical-orbital reference: the fitted product ansatz reproduces the
     # converged subspace ground state to the published deficit scale
     h, pool, ref = h4
-    from gcim import run_adapt_gcim as _run
-
-    trace = _run(h, pool, ref, AdaptConfig(t_usr=10))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=10))
     target = trace.final_state
     recipe = uccsd_recipe(pool, n_occ_spatial=2)
     theta, deficit, energy = ucc_translate(h, pool, target, recipe, ref)
@@ -417,7 +414,7 @@ def test_ucc_translate_reaches_gcim_ground_molecular(h4):
 
 def test_trace_jsonable_fields(toy):
     h, pool, ref = toy
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
     rec = trace.records[0]
     assert rec.selected_label == pool[rec.selected_index].label
     assert len(rec.gradients) == len(pool)
@@ -426,7 +423,7 @@ def test_trace_jsonable_fields(toy):
 
 def test_final_pair_matches_fresh_build(h4):
     h, pool, ref = h4
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3, max_iterations=8))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3, max_iterations=8))
     # the loop left its pair on the basis, covering every state
     assert trace.basis.pair is not None
     assert len(trace.basis.pair.states) == len(trace.basis)
@@ -455,11 +452,6 @@ def test_iteration_pairs_are_leading_blocks(toy, algorithm):
         assert rec.eigenvalues == part.records[-1].eigenvalues == part.eigenvalues
 
 
-RUNNERS = {ADAPT_GCIM: run_adapt_gcim, ADAPT_VQE: run_adapt_vqe,
-           ADAPT_VQE_GCIM: run_adapt_vqe_gcim, ADAPT_VQE_GCIM_1: run_adapt_vqe_gcim_one_shot,
-           ADAPT_GCIM_MN: run_adapt_gcim_mn}
-
-
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_algorithm_dispatches_on_config(toy, algorithm):
     # the config names the variant once; the trace carries that name
@@ -467,4 +459,8 @@ def test_run_algorithm_dispatches_on_config(toy, algorithm):
     cfg = AdaptConfig(algorithm=algorithm, t_usr=3)
     trace = run_algorithm(h, pool, ref, cfg)
     assert trace.algorithm == algorithm
-    assert trace.records == RUNNERS[algorithm](h, pool, ref, cfg).records
+    assert trace.records
+    # the GCIM family never runs a VQE energy; the VQE family records one
+    # per iteration
+    vqe_family = algorithm not in (ADAPT_GCIM, ADAPT_GCIM_MN)
+    assert all((r.vqe_energy is not None) == vqe_family for r in trace.records)

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+import pytest
 
-from gcim.adapt import AdaptConfig, run_adapt_gcim
+from gcim.adapt import AdaptConfig, run_algorithm
 from gcim.cli import (
     CHEMICAL_ACCURACY,
     EXIT_ERROR,
@@ -101,6 +102,25 @@ def test_invalid_config_schema(tmp_path):
     doc2 = _toy_doc(tmp_path)
     doc2["hamiltonian"] = {}
     assert main(["run", "--config", str(_write_config(tmp_path, doc2))]) == EXIT_ERROR
+
+
+def test_bad_algorithm_config_rejected_before_any_run(tmp_path, capsys):
+    # n = 0 is valid for adapt-gcim but not for adapt-gcim-mn; the config
+    # fails as a whole before the first algorithm writes anything
+    doc = _toy_doc(tmp_path, algorithms=["adapt-gcim", "adapt-gcim-mn"],
+                   adapt={"t_usr": 3, "n": 0})
+    cfg_path = _write_config(tmp_path, doc)
+    assert main(["compare", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert "n >= 1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("key, value", [("jitter", 1e-12), ("vqe_gtol", 1e-6),
+                                        ("vqe_round_budget", 50)])
+def test_removed_adapt_keys_rejected(tmp_path, capsys, key, value):
+    doc = _toy_doc(tmp_path, adapt={"t_usr": 3, key: value})
+    assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == EXIT_ERROR
+    assert key in capsys.readouterr().err
 
 
 def test_seed_and_out_overrides(tmp_path):
@@ -249,7 +269,7 @@ def test_dump_matrices_leading_blocks(tmp_path, toy):
     h, pool, ref = toy
     cfg_path = _write_config(tmp_path, _toy_doc(tmp_path, dump_matrices=True))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
     h_fin, s_fin = build_matrices(trace.basis, h)
     lines = (tmp_path / "out" / "matrices.jsonl").read_text().splitlines()
     assert len(lines) == trace.iterations
@@ -269,7 +289,7 @@ def test_dump_matrices_leading_blocks(tmp_path, toy):
 
 def test_noise_basis_holds_trace_states(toy):
     h, pool, ref = toy
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
     basis = _noise_basis(trace, System(h, pool, ref, h.n_qubits, "toy"))
     assert 0 < len(basis) <= len(trace.basis)
     assert len(basis.states) == len(basis)

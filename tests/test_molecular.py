@@ -8,8 +8,7 @@ from gcim import (
     AdaptConfig,
     excitation_energies,
     exact_spectrum,
-    run_adapt_gcim,
-    run_adapt_vqe_gcim,
+    run_algorithm,
 )
 from gcim.pauli import jw_to_matrix
 from gcim.statevector import expectation
@@ -18,7 +17,7 @@ from gcim.statevector import expectation
 @pytest.fixture(scope="module")
 def h4_trace(h4):
     h, pool, ref = h4
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=10))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=10))
     trace.attach_exact(exact_spectrum(h, k=1))
     return trace
 
@@ -59,8 +58,7 @@ def test_h4_excitation_gap_matches_sector_oracle(h4, h4_trace):
 
 def test_h4_vqe_gcim_bound_every_iteration(h4):
     h, pool, ref = h4
-    trace = run_adapt_vqe_gcim(h, pool, ref,
-                               AdaptConfig(algorithm=ADAPT_VQE_GCIM))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE_GCIM))
     assert trace.converged
     for rec in trace.records:
         assert rec.epsilon0 <= rec.vqe_energy + 1e-10

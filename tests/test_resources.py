@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcim.adapt import AdaptConfig, run_adapt_gcim
+from gcim.adapt import AdaptConfig, run_algorithm
 from gcim.pool import build_pool
 from gcim.resources import (
     GIVENS_ADJACENT,
@@ -115,7 +115,7 @@ def test_ansatz_totals_additive_and_permutation_invariant():
 
 def test_measurement_estimate_scalings(toy):
     h, pool, ref = toy
-    trace = run_adapt_gcim(h, pool, ref, AdaptConfig(t_usr=3))
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
     est = measurement_estimate(trace, n_term=len(h))
     assert est.n_generating_functions == 2 * est.n_iterations
     assert est.gcim_style_total == est.n_generating_functions ** 2 \
