@@ -70,7 +70,7 @@ class AdaptConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("gcim_tol", "vqe_grad_tol"):
+        for name in ("gcim_tol", "vqe_grad_tol", "s_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.t_usr < 1 or self.max_iterations < 1:

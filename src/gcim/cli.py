@@ -28,7 +28,7 @@ from .fermion import jordan_wigner
 from .pauli import PauliSum, ResourceLimitError, parse_pauli_json
 from .pool import PoolOperator, build_pool, pool_to_json
 from .resources import SCHEMES, ansatz_cnot_total, cnot_count, measurement_estimate
-from .shots import ShotConfig, mc_experiment
+from .shots import MatrixEstimators, ShotConfig, mc_experiment
 from .statevector import ExactSpectrum, StateVector, exact_spectrum, hf_state
 from .subspace import (
     BasisRecipe,
@@ -373,6 +373,9 @@ def _noise_basis(trace: AdaptTrace, system: System) -> SubspaceBasis:
 def cmd_noise(cfg: RunConfig) -> int:
     """Monte Carlo tau sweep (importance sampling on and off) over a
     converged-quality subspace of an adapt-gcim run."""
+    if cfg.algorithms != [ADAPT_GCIM]:
+        raise ConfigError(f"noise runs {ADAPT_GCIM} only; the config names "
+                          f"{', '.join(cfg.algorithms)}")
     system = build_system(cfg)
     trace = run_algorithm(system.h, system.pool, system.reference,
                           cfg.adapt_config(ADAPT_GCIM))
@@ -383,11 +386,12 @@ def cmd_noise(cfg: RunConfig) -> int:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["tau", "importance_sampling", "mean_error", "ci_low", "ci_high"])
+    estimators = MatrixEstimators.build(basis, system.h)
     for tau in cfg.tau_grid:
         for is_flag in (False, True):
             scfg = cfg.shot_config(tau=float(tau), importance_sampling=is_flag)
             summary = mc_experiment(h_mat, s_mat, basis, system.h, scfg,
-                                    runs=cfg.noise_runs)
+                                    runs=cfg.noise_runs, estimators=estimators)
             w.writerow([repr(float(tau)), int(is_flag), repr(summary.mean_error),
                         repr(summary.ci_low), repr(summary.ci_high)])
     _atomic_write(cfg.out_dir / "noise.csv", buf.getvalue())

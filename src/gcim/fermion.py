@@ -9,11 +9,21 @@ with (cre, ann) -> (reversed ann, reversed cre) and no extra sign.
 Spin orbitals are indexed interleaved: spatial orbital g with spin up maps
 to qubit 2g, spin down to 2g+1.  up() and down() are the one definition of
 that layout; every other module derives its spin-orbital indices from them.
+
+jordan_wigner works on bare (x, z) integer masks.  Each term's ladder
+product is expanded one operator at a time, every product phase coming from
+pauli.mask_mul, and the products are summed in place into one dict keyed by
+(x, z); PauliStrings are built once, for the result.  The arithmetic is that
+of multiplying two-term PauliSums left to right and adding them up: the same
+coefficient sums in the same order, terms below COEFF_CUTOFF dropped after
+every ladder step and whenever an accumulated sum falls below it.  So the
+result matches that product form term for term, in insertion order and bit
+for bit, while the set-up cost grows linearly with the number of terms.
 """
 
 from __future__ import annotations
 
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, mask_mul
 
 COEFF_CUTOFF = 1e-14
 
@@ -121,15 +131,31 @@ class FermionOperator:
         return f"FermionOperator(constant={self.constant}, terms={len(self.terms)})"
 
 
-def _jw_ladder(p: int, n_qubits: int, creation: bool) -> PauliSum:
-    """JW image of a_p (or a†_p): (X_p +/- iY_p)/2 times Z_{k<p}."""
+# Coefficients of X_p and of -/+ iY_p in the JW image of a+_p / a_p, exactly
+# as PauliSum stores 0.5 and -/+0.5j (signed zeros included).
+_HALF = complex(0.5, 0.0)
+_CREATION_Y = complex(0.0, -0.5)
+_ANNIHILATION_Y = complex(0.0, 0.5)
+
+
+def _ladder_step(prod: dict[tuple[int, int], complex], p: int, n_qubits: int,
+                 cy: complex) -> dict[tuple[int, int], complex]:
+    """prod times (0.5 X_p + cy Y_p) Z_{k<p}, the image of one ladder operator.
+
+    The sums and the cutoff are those of PauliSum.__mul__ followed by
+    PauliSum.__init__, in the same order.
+    """
     if p >= n_qubits:
         raise IndexError(f"spin orbital {p} exceeds register of {n_qubits} qubits")
-    zmask = (1 << p) - 1
-    x_str = PauliString(1 << p, zmask, n_qubits)
-    y_str = PauliString(1 << p, zmask | (1 << p), n_qubits)
-    iy = -0.5j if creation else 0.5j
-    return PauliSum(n_qubits, {x_str: 0.5, y_str: iy})
+    bx = 1 << p
+    strings = ((bx - 1, _HALF), ((bx << 1) - 1, cy))
+    out: dict[tuple[int, int], complex] = {}
+    for (ax, az), ca in prod.items():
+        for bz, cb in strings:
+            phase, x, z = mask_mul(ax, az, bx, bz)
+            key = (x, z)
+            out[key] = out.get(key, 0.0) + ca * cb * phase
+    return {key: c for key, c in out.items() if abs(c) >= COEFF_CUTOFF}
 
 
 def jordan_wigner(op: FermionOperator, n_qubits: int) -> PauliSum:
@@ -140,16 +166,23 @@ def jordan_wigner(op: FermionOperator, n_qubits: int) -> PauliSum:
     the occupation-number basis (bit j of a statevector index = occupation
     of spin orbital j).
     """
-    total = PauliSum(n_qubits)
+    total: dict[tuple[int, int], complex] = {}
     if abs(op.constant) >= COEFF_CUTOFF:
-        total = PauliSum.identity(n_qubits, op.constant)
+        total[(0, 0)] = 0.0 + complex(op.constant)
     for (cre, ann), coeff in op.terms.items():
         if abs(coeff) < COEFF_CUTOFF:
             continue
-        prod = PauliSum.identity(n_qubits, coeff)
+        prod = {(0, 0): 0.0 + complex(coeff)}
         for p in cre:
-            prod = prod * _jw_ladder(p, n_qubits, creation=True)
+            prod = _ladder_step(prod, p, n_qubits, _CREATION_Y)
         for p in ann:
-            prod = prod * _jw_ladder(p, n_qubits, creation=False)
-        total = total + prod
-    return total
+            prod = _ladder_step(prod, p, n_qubits, _ANNIHILATION_Y)
+        # in place, as PauliSum.__add__ would sum and then drop small terms
+        for key, c in prod.items():
+            c = total.get(key, 0.0) + c
+            if abs(c) >= COEFF_CUTOFF:
+                total[key] = c
+            else:
+                total.pop(key, None)
+    return PauliSum(n_qubits, {PauliString(x, z, n_qubits): c
+                               for (x, z), c in total.items()})

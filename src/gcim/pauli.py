@@ -71,14 +71,24 @@ class PauliString:
         return self.label
 
 
+_PHASES = tuple((1j) ** k for k in range(4))
+
+
+def mask_mul(ax: int, az: int, bx: int, bz: int) -> tuple[complex, int, int]:
+    """Product of the strings (ax, az) * (bx, bz) = phase * (x, z) on bare masks."""
+    x, z = ax ^ bx, az ^ bz
+    # i^(ya+yb-yc) from Y bookkeeping, (-1)^(za.xb) from commuting Z past X
+    k = ((ax & az).bit_count() + (bx & bz).bit_count() - (x & z).bit_count()
+         + 2 * (az & bx).bit_count())
+    return _PHASES[k % 4], x, z
+
+
 def pauli_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Product a*b = phase * c with phase in {1, i, -1, -i}."""
     if a.n != b.n:
         raise ValueError(f"qubit-count mismatch: {a.n} vs {b.n}")
-    c = PauliString(a.x ^ b.x, a.z ^ b.z, a.n)
-    # i^(ya+yb-yc) from Y bookkeeping, (-1)^(za.xb) from commuting Z past X
-    k = (a.y_count + b.y_count - c.y_count + 2 * (a.z & b.x).bit_count()) % 4
-    return (1j) ** k, c
+    phase, x, z = mask_mul(a.x, a.z, b.x, b.z)
+    return phase, PauliString(x, z, a.n)
 
 
 class PauliSum:

@@ -15,6 +15,7 @@ depend on evaluation order and are reproducible under a fixed seed.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +156,9 @@ def _assign_shots(est: EntryEstimator, cfg: ShotConfig,
         shots = allocate_shots_is(est.coeffs, tau)
     else:
         shots = allocate_shots_uniform(est.coeffs, tau)
-    return EntryEstimator(est.coeffs, est.p_values, shots)
+    out = copy.copy(est)  # shares the decomposition's arrays
+    out.shots = shots
+    return out
 
 
 def _entry_rng(cfg: ShotConfig, run_index: int, i: int, j: int,
@@ -166,25 +169,36 @@ def _entry_rng(cfg: ShotConfig, run_index: int, i: int, j: int,
 
 @dataclass
 class MatrixEstimators:
-    """Precomputed per-entry decompositions for one (basis, H) pair."""
+    """Per-entry decompositions of one (basis, H) pair and their shot counts."""
 
     dim: int
     h_entries: dict[tuple[int, int], EntryEstimator]
     s_entries: dict[tuple[int, int], EntryEstimator]
 
     @classmethod
-    def build(cls, basis: SubspaceBasis, h: PauliSum, cfg: ShotConfig
+    def build(cls, basis: SubspaceBasis, h: PauliSum, cfg: ShotConfig | None = None
               ) -> "MatrixEstimators":
+        """Decompose every upper-triangle entry; assign shots under cfg if given."""
         dim = len(basis)
         h_entries, s_entries = {}, {}
         for i in range(dim):
             for j in range(i, dim):
-                h_entries[(i, j)] = _assign_shots(
-                    exact_decomposition(basis, h, i, j), cfg)
-                s_entries[(i, j)] = _assign_shots(
-                    overlap_decomposition(basis, i, j), cfg,
-                    multiplier=cfg.s_multiplier)
-        return cls(dim, h_entries, s_entries)
+                h_entries[(i, j)] = exact_decomposition(basis, h, i, j)
+                s_entries[(i, j)] = overlap_decomposition(basis, i, j)
+        ests = cls(dim, h_entries, s_entries)
+        return ests if cfg is None else ests.with_shots(cfg)
+
+    def with_shots(self, cfg: ShotConfig) -> "MatrixEstimators":
+        """The same decompositions with shots reassigned under cfg.
+
+        Only the shot counts depend on tau, importance sampling and the
+        overlap multiplier, so a sweep over those decomposes once.
+        """
+        return MatrixEstimators(
+            self.dim,
+            {key: _assign_shots(est, cfg) for key, est in self.h_entries.items()},
+            {key: _assign_shots(est, cfg, multiplier=cfg.s_multiplier)
+             for key, est in self.s_entries.items()})
 
     def sample(self, cfg: ShotConfig, run_index: int) -> tuple[np.ndarray, np.ndarray]:
         m = self.dim
@@ -230,15 +244,20 @@ class McSummary:
 
 def mc_experiment(h_mat: np.ndarray, s_mat: np.ndarray, basis: SubspaceBasis,
                   h: PauliSum, cfg: ShotConfig, runs: int = 100,
-                  s_threshold: float = NOISY_S_THRESHOLD) -> McSummary:
+                  s_threshold: float = NOISY_S_THRESHOLD,
+                  estimators: MatrixEstimators | None = None) -> McSummary:
     """Repeat perturb-and-solve; report |eps0(noisy) - eps0(exact)| statistics.
 
     The 95% confidence band is the empirical 2.5/97.5 percentile range.
+    A sweep over shot configurations passes the estimators of (basis, h),
+    decomposed once; only their shots are assigned under cfg.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs")
     exact = solve_gevp(h_mat, s_mat, DEFAULT_S_THRESHOLD).ground_energy
-    ests = MatrixEstimators.build(basis, h, cfg)
+    if estimators is None:
+        estimators = MatrixEstimators.build(basis, h)
+    ests = estimators.with_shots(cfg)
     errors = np.zeros(runs)
     kept_dims = []
     for r in range(runs):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gcim.fermion import FermionOperator, jordan_wigner
+from gcim.fermion import COEFF_CUTOFF, FermionOperator, jordan_wigner
 from gcim.pauli import PauliString, PauliSum
 from gcim.pool import PoolOperator
 
@@ -68,6 +68,41 @@ def fermion_dense(op: FermionOperator, n_so: int) -> np.ndarray:
     for (cre, ann), c in op.terms.items():
         mat += fermion_term_dense(n_so, c, cre, ann)
     return mat
+
+
+def _ladder_sum(p: int, n_qubits: int, creation: bool) -> PauliSum:
+    """JW image of a_p (or a+_p) as a two-term PauliSum: (X_p +/- iY_p)/2 Z_{k<p}."""
+    zmask = (1 << p) - 1
+    return PauliSum(n_qubits, {
+        PauliString(1 << p, zmask, n_qubits): 0.5,
+        PauliString(1 << p, zmask | (1 << p), n_qubits): -0.5j if creation else 0.5j})
+
+
+def jordan_wigner_reference(op: FermionOperator, n_qubits: int) -> PauliSum:
+    """Product-form JW: ladder PauliSums multiplied with PauliSum.__mul__, summed.
+
+    The mask kernel in gcim.fermion must reproduce this term for term, in
+    insertion order and bit for bit; its phases are checked separately
+    against dense Kronecker products.
+    """
+    total = PauliSum(n_qubits)
+    if abs(op.constant) >= COEFF_CUTOFF:
+        total = PauliSum.identity(n_qubits, op.constant)
+    for (cre, ann), coeff in op.terms.items():
+        if abs(coeff) < COEFF_CUTOFF:
+            continue
+        prod = PauliSum.identity(n_qubits, coeff)
+        for p in cre:
+            prod = prod * _ladder_sum(p, n_qubits, creation=True)
+        for p in ann:
+            prod = prod * _ladder_sum(p, n_qubits, creation=False)
+        total = total + prod
+    return total
+
+
+def exact_terms(h: PauliSum) -> list[tuple[int, int, str]]:
+    """Terms in insertion order with bit-exact coefficients (signed zeros kept)."""
+    return [(p.x, p.z, repr(c)) for p, c in h.terms.items()]
 
 
 def random_hermitian_sum(rng: np.random.Generator, n: int, n_terms: int,

@@ -12,6 +12,7 @@ from gcim.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_UNCONVERGED,
+    ConfigError,
     System,
     _load_schema,
     _noise_basis,
@@ -123,6 +124,18 @@ def test_removed_adapt_keys_rejected(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_non_positive_s_threshold_rejected(tmp_path, capsys):
+    doc = _toy_doc(tmp_path, adapt={"t_usr": 3, "s_threshold": -1.0})
+    cfg_path = _write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="s_threshold"):
+        load_config(cfg_path)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert "s_threshold" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    with pytest.raises(ValueError, match="s_threshold"):
+        AdaptConfig(s_threshold=0.0)
+
+
 def test_seed_and_out_overrides(tmp_path):
     doc = _toy_doc(tmp_path)
     cfg_path = _write_config(tmp_path, doc)
@@ -170,6 +183,13 @@ def test_noise_sweep_csv(tmp_path):
     first = (tmp_path / "out" / "noise.csv").read_bytes()
     main(["noise", "--config", str(cfg_path)])
     assert (tmp_path / "out" / "noise.csv").read_bytes() == first
+
+
+def test_noise_rejects_other_algorithms(tmp_path, capsys):
+    doc = _toy_doc(tmp_path, algorithms=["adapt-vqe"], tau_grid=[1e10], noise_runs=2)
+    assert main(["noise", "--config", str(_write_config(tmp_path, doc))]) != EXIT_OK
+    assert "adapt-vqe" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "noise.csv").exists()
 
 
 def test_resources_replay(tmp_path):

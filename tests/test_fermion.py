@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gcim.fcidump import SpatialIntegrals, assemble_hamiltonian, parse_fcidump
 from gcim.fermion import FermionOperator, jordan_wigner
 from gcim.pauli import PauliSum, jw_to_matrix
+from gcim.pool import build_pool
+from gcim.toy import toy_integrals
 
-from helpers import fermion_dense
+from helpers import exact_terms, fermion_dense, jordan_wigner_reference
 
 
 def _ladder(index, create, n):
@@ -120,3 +123,49 @@ def test_jw_single_term_against_bitwise_oracle(p, q):
     op.add_term(1.0, (p,), (q,))
     assert np.allclose(jw_to_matrix(jordan_wigner(op, n)),
                        fermion_dense(op, n), atol=1e-13)
+
+
+# Coefficients drawn from a small set, so that terms cancel exactly and the
+# cutoff drops (and later re-adds) strings; 1e-15 sits below the cutoff.
+_coeffs = st.sampled_from([1.0, -1.0, 0.5, -0.5j, 1.0 + 1.0j, -0.0, 1e-15, 2.5e-14])
+_indices = st.lists(st.integers(0, 4), max_size=3).map(tuple)
+
+
+@given(_coeffs, st.lists(st.tuples(_indices, _indices, _coeffs), max_size=8))
+# a hopping pair whose cross strings cancel in the sum, then come back
+@example(0.0, [((1,), (0,), 1.0), ((0,), (1,), 1.0), ((1, 2), (2, 0), 1.0)])
+# 2.5e-14 survives one ladder step and falls below the cutoff on the second
+@example(0.0, [((0,), (1,), 1.0), ((1,), (0,), 2.5e-14)])
+# terms and constants below the cutoff are skipped, not summed
+@example(1.0, [((), (), 1e-15)])
+@example(1e-15, [((), (), 1.0)])
+def test_jw_matches_product_reference_exactly(constant, raw_terms):
+    # terms go in as given: unsorted and repeated indices included
+    op = FermionOperator(constant, {(cre, ann): complex(c) for cre, ann, c in raw_terms})
+    assert exact_terms(jordan_wigner(op, 5)) == \
+        exact_terms(jordan_wigner_reference(op, 5))
+
+
+def _hubbard_chain(n_sites: int, t: float, u: float) -> SpatialIntegrals:
+    one = np.zeros((n_sites, n_sites))
+    for i in range(n_sites - 1):
+        one[i, i + 1] = one[i + 1, i] = -t
+    two = np.zeros((n_sites,) * 4)
+    for i in range(n_sites):
+        two[i, i, i, i] = u
+    return SpatialIntegrals(n_orb=n_sites, n_elec=4, ms2=0, one_body=one, two_body=two)
+
+
+@pytest.mark.parametrize("name", ["toy", "h4", "hubbard10"])
+def test_jw_hamiltonian_and_pool_match_product_reference(name, h4_path):
+    if name == "toy":
+        ints = toy_integrals(1.0, 2.0)
+    elif name == "h4":
+        ints = parse_fcidump(h4_path.read_text())
+    else:
+        ints = _hubbard_chain(5, 1.0, 4.0)
+    n = 2 * ints.n_orb
+    ops = [assemble_hamiltonian(ints)] + [op.fermionic for op in build_pool(ints.n_orb)]
+    for op in ops:
+        assert exact_terms(jordan_wigner(op, n)) == \
+            exact_terms(jordan_wigner_reference(op, n))

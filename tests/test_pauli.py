@@ -11,6 +11,7 @@ from gcim.pauli import (
     PauliSum,
     ResourceLimitError,
     jw_to_matrix,
+    mask_mul,
     parse_pauli_json,
     pauli_mul,
     pauli_sum_to_json,
@@ -50,6 +51,19 @@ def test_mul_associative(a, b, c):
     ph3, bc = pauli_mul(pb, pc)
     ph4, a_bc = pauli_mul(pa, bc)
     assert ab_c == a_bc and ph1 * ph2 == ph3 * ph4
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.text(alphabet="IXYZ", min_size=n, max_size=n),
+                        st.text(alphabet="IXYZ", min_size=n, max_size=n))))
+def test_mask_mul_agrees_with_pauli_mul(pair):
+    pa, pb = (PauliString.from_label(s) for s in pair)
+    phase, x, z = mask_mul(pa.x, pa.z, pb.x, pb.z)
+    ref_phase, pc = pauli_mul(pa, pb)
+    assert (x, z) == (pc.x, pc.z)
+    assert repr(phase) == repr(ref_phase)
+    expected = dense_from_label(pair[0]) @ dense_from_label(pair[1])
+    assert np.allclose(phase * dense_from_label(pc.label), expected)
 
 
 def test_mul_length_mismatch():

@@ -240,6 +240,28 @@ def test_matrix_estimators_cache_consistency(toy):
     assert s_est.shots[0] == int(round(cfg.tau * cfg.s_multiplier))
 
 
+def test_reassigned_shots_reproduce_a_fresh_build(toy):
+    # a sweep decomposes once; each cell must sample exactly as if built anew
+    h, basis = _toy_noise_setup(toy)
+    h_mat, s_mat = build_matrices(basis, h)
+    first = MatrixEstimators.build(basis, h)
+    for cfg in (ShotConfig(tau=1e9, seed=5),
+                ShotConfig(tau=300, seed=5, importance_sampling=True, s_multiplier=7)):
+        fresh = MatrixEstimators.build(basis, h, cfg)
+        reused = first.with_shots(cfg)
+        for key, est in fresh.h_entries.items():
+            assert np.array_equal(reused.h_entries[key].shots, est.shots)
+            assert reused.h_entries[key].p_values is first.h_entries[key].p_values
+        for key, est in fresh.s_entries.items():
+            assert np.array_equal(reused.s_entries[key].shots, est.shots)
+        for run in range(3):
+            for a, b in zip(reused.sample(cfg, run), fresh.sample(cfg, run)):
+                assert np.array_equal(a, b)
+        swept = mc_experiment(h_mat, s_mat, basis, h, cfg, runs=4, estimators=first)
+        alone = mc_experiment(h_mat, s_mat, basis, h, cfg, runs=4)
+        assert np.array_equal(swept.errors, alone.errors)
+
+
 def test_hf_filter_branches():
     assert hf_filter(0.35) == 1
     assert hf_filter(-0.5) == -1
