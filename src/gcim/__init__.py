@@ -38,6 +38,7 @@ from .shots import (
     exact_decomposition,
     hf_filter,
     mc_experiment,
+    mc_sweep,
     perturb_matrices,
     sample_entry,
 )

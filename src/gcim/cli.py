@@ -28,7 +28,7 @@ from .fermion import jordan_wigner
 from .pauli import PauliSum, ResourceLimitError, parse_pauli_json
 from .pool import PoolOperator, build_pool, pool_to_json
 from .resources import SCHEMES, ansatz_cnot_total, cnot_count, measurement_estimate
-from .shots import MatrixEstimators, ShotConfig, mc_experiment
+from .shots import MatrixEstimators, ShotConfig, mc_sweep
 from .statevector import ExactSpectrum, StateVector, exact_spectrum, hf_state
 from .subspace import (
     BasisRecipe,
@@ -103,12 +103,14 @@ def load_config(path: str | Path, seed: int | None = None,
         seed=int(seed if seed is not None else doc.get("seed", 0)),
         dump_matrices=bool(doc.get("dump_matrices", False)),
     )
-    # reject a bad (algorithm, adapt) pair before any algorithm runs
-    for algorithm in cfg.algorithms:
-        try:
+    # reject a bad (algorithm, adapt) pair or shot cell before any algorithm runs
+    try:
+        for algorithm in cfg.algorithms:
             cfg.adapt_config(algorithm)
-        except ValueError as exc:
-            raise ConfigError(f"invalid config {path}: {exc}") from exc
+        for tau in cfg.tau_grid:
+            cfg.shot_config(tau=float(tau))
+    except ValueError as exc:
+        raise ConfigError(f"invalid config {path}: {exc}") from exc
     return cfg
 
 
@@ -386,14 +388,14 @@ def cmd_noise(cfg: RunConfig) -> int:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["tau", "importance_sampling", "mean_error", "ci_low", "ci_high"])
-    estimators = MatrixEstimators.build(basis, system.h)
-    for tau in cfg.tau_grid:
-        for is_flag in (False, True):
-            scfg = cfg.shot_config(tau=float(tau), importance_sampling=is_flag)
-            summary = mc_experiment(h_mat, s_mat, basis, system.h, scfg,
-                                    runs=cfg.noise_runs, estimators=estimators)
-            w.writerow([repr(float(tau)), int(is_flag), repr(summary.mean_error),
-                        repr(summary.ci_low), repr(summary.ci_high)])
+    cells = [cfg.shot_config(tau=float(tau), importance_sampling=is_flag)
+             for tau in cfg.tau_grid for is_flag in (False, True)]
+    summaries = mc_sweep(h_mat, s_mat, MatrixEstimators.build(basis, system.h),
+                         cells, runs=cfg.noise_runs)
+    for cell, summary in zip(cells, summaries):
+        w.writerow([repr(cell.tau), int(cell.importance_sampling),
+                    repr(summary.mean_error), repr(summary.ci_low),
+                    repr(summary.ci_high)])
     _atomic_write(cfg.out_dir / "noise.csv", buf.getvalue())
     return EXIT_OK
 

@@ -9,19 +9,22 @@ analytic treatment.  Importance sampling allocates per-term shots
 proportionally to |c_k| at a fixed total of tau * n_terms; overlap entries
 are a single identity term measured with s_multiplier-times more shots.
 
-Sampling streams are derived per (seed, run, entry), so results do not
-depend on evaluation order and are reproducible under a fixed seed.
+Stream contract: entry (i, j) of run r draws from
+default_rng(SeedSequence((seed, r, i, j, tag))), tag 0 for H and 1 for S,
+exactly as sample_entry would.  A sweep resets each stream for every (tau,
+importance sampling) cell, so all cells draw the same random numbers and
+results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .pauli import PauliSum
-from .statevector import pauli_decomposition
+from .statevector import pauli_expectations
 from .subspace import (
     DEFAULT_S_THRESHOLD,
     NOISY_S_THRESHOLD,
@@ -31,6 +34,8 @@ from .subspace import (
 
 MODE_BINOMIAL = "binomial-exact"
 MODE_GAUSSIAN = "gaussian"
+_INT64_LIMIT = 2.0 ** 63   # shot counts are int64
+_IMAG_TOL = 1e-10          # largest imaginary part a real exact value may carry
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,9 @@ class ShotConfig:
             raise ValueError("tau must be >= 1")
         if self.s_multiplier < 1:
             raise ValueError("s_multiplier must be >= 1")
+        if self.tau * self.s_multiplier >= _INT64_LIMIT:
+            raise ValueError(f"tau * s_multiplier = {self.tau * self.s_multiplier:.3g} "
+                             f"overlap shots exceed the int64 range")
         if self.mode not in (MODE_BINOMIAL, MODE_GAUSSIAN):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
 
@@ -77,36 +85,43 @@ class EntryEstimator:
         return float(np.sum(self.coeffs ** 2 * (1.0 - self.p_values ** 2) / self.shots))
 
 
-def exact_decomposition(basis: SubspaceBasis, h: PauliSum, i: int, j: int,
-                        imag_tol: float = 1e-10) -> EntryEstimator:
-    """Per-term true expectations for entry (i, j) of the projected H.
+def _real(values: np.ndarray, imag_tol: float, what: str) -> np.ndarray:
+    """The noise model perturbs around real exact values (real integrals,
+    real rotations), so imaginary parts past imag_tol are errors."""
+    bad = np.abs(values.imag) > imag_tol
+    if bad.any():
+        raise ValueError(f"{what} has imaginary part {values.imag[bad][0]:.2e}")
+    return values.real
 
-    The noise model perturbs around these exact values.  Coefficients and
-    entries must be real to imag_tol (real integrals, real rotations).
-    """
-    coeffs, ps = pauli_decomposition(basis.states[i], h, basis.states[j])
-    bad = np.abs(coeffs.imag) > imag_tol
-    if bad.any():
-        raise ValueError(f"complex Hamiltonian coefficient {coeffs[bad][0]} unsupported")
-    bad = np.abs(ps.imag) > imag_tol
-    if bad.any():
-        raise ValueError(f"entry expectation has imaginary part {ps.imag[bad][0]:.2e}")
-    return EntryEstimator(coeffs.real, ps.real)
+
+def exact_decomposition(basis: SubspaceBasis, h: PauliSum, i: int, j: int,
+                        imag_tol: float = _IMAG_TOL) -> EntryEstimator:
+    """Per-term true expectations for entry (i, j) of the projected H."""
+    coeffs, values = pauli_expectations(basis.states[i].amplitudes[None], h,
+                                        basis.states[j].amplitudes[None])
+    return EntryEstimator(_real(coeffs, imag_tol, "Hamiltonian coefficient"),
+                          _real(values[0, 0], imag_tol, "entry expectation"))
 
 
 def overlap_decomposition(basis: SubspaceBasis, i: int, j: int,
-                          imag_tol: float = 1e-10) -> EntryEstimator:
+                          imag_tol: float = _IMAG_TOL) -> EntryEstimator:
     """Overlap entries are the single identity-term case of the model."""
-    val = basis.states[i].inner(basis.states[j])
-    if abs(val.imag) > imag_tol:
-        raise ValueError(f"overlap has imaginary part {val.imag:.2e}")
-    return EntryEstimator(np.array([1.0]), np.array([val.real]))
+    val = np.array([basis.states[i].inner(basis.states[j])])
+    return EntryEstimator(np.array([1.0]), _real(val, imag_tol, "overlap"))
+
+
+def _shot_array(counts) -> np.ndarray:
+    counts = np.rint(counts)
+    if np.any(counts >= _INT64_LIMIT):
+        raise ValueError(f"shot count {counts.max():.3g} exceeds the int64 range")
+    return counts.astype(np.int64)
 
 
 def allocate_shots_is(coeffs, tau: float, n_term: int | None = None) -> np.ndarray:
     """Importance-sampled per-term shots: N_k ~ |c_k| at total tau * n_term.
 
-    Terms with nonzero coefficient get at least one shot.
+    Terms with nonzero coefficient get at least one shot; a share past the
+    int64 range is an error.
     """
     mags = np.abs(np.asarray(coeffs, dtype=float))
     total_mag = mags.sum()
@@ -114,13 +129,21 @@ def allocate_shots_is(coeffs, tau: float, n_term: int | None = None) -> np.ndarr
         raise ValueError("all coefficients are zero")
     if n_term is None:
         n_term = len(mags)
-    shots = np.rint(mags / total_mag * tau * n_term).astype(np.int64)
+    shots = _shot_array(mags / total_mag * tau * n_term)
     shots[(mags > 0) & (shots < 1)] = 1
     return shots
 
 
 def allocate_shots_uniform(coeffs, tau: float) -> np.ndarray:
-    return np.full(len(np.asarray(coeffs)), int(round(tau)), dtype=np.int64)
+    return _shot_array(np.full(len(np.asarray(coeffs)), float(tau)))
+
+
+def _shot_counts(coeffs, cfg: ShotConfig, multiplier: float = 1.0) -> np.ndarray:
+    """Per-term shots of an entry with these coefficients under cfg."""
+    tau = cfg.tau * multiplier
+    if cfg.importance_sampling:
+        return allocate_shots_is(coeffs, tau)
+    return allocate_shots_uniform(coeffs, tau)
 
 
 def chebyshev_shots(coeffs, a: float, eta: float, p_bound: float = 0.0) -> int:
@@ -149,68 +172,88 @@ def sample_entry(est: EntryEstimator, cfg: ShotConfig, rng: np.random.Generator)
     return float(np.sum(est.coeffs * lam / n))
 
 
-def _assign_shots(est: EntryEstimator, cfg: ShotConfig,
-                  multiplier: float = 1.0) -> EntryEstimator:
-    tau = cfg.tau * multiplier
-    if cfg.importance_sampling:
-        shots = allocate_shots_is(est.coeffs, tau)
-    else:
-        shots = allocate_shots_uniform(est.coeffs, tau)
-    out = copy.copy(est)  # shares the decomposition's arrays
-    out.shots = shots
-    return out
-
-
-def _entry_rng(cfg: ShotConfig, run_index: int, i: int, j: int,
-               tag: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((cfg.seed, run_index, i, j, tag)))
-
-
 @dataclass
 class MatrixEstimators:
-    """Per-entry decompositions of one (basis, H) pair and their shot counts."""
+    """Stacked decompositions of one (basis, H) pair.
+
+    The E = dim(dim+1)/2 upper-triangle entries are in np.triu_indices
+    order; all values are clipped to [-1, 1].
+    """
 
     dim: int
-    h_entries: dict[tuple[int, int], EntryEstimator]
-    s_entries: dict[tuple[int, int], EntryEstimator]
+    coeffs: np.ndarray     # (T,) real c_k, shared by every H entry
+    p_values: np.ndarray   # (E, T) Re<psi_i|P_k|psi_j>
+    overlaps: np.ndarray   # (E,) Re<psi_i|psi_j>
+
+    @property
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.triu_indices(self.dim)
 
     @classmethod
-    def build(cls, basis: SubspaceBasis, h: PauliSum, cfg: ShotConfig | None = None
-              ) -> "MatrixEstimators":
-        """Decompose every upper-triangle entry; assign shots under cfg if given."""
-        dim = len(basis)
-        h_entries, s_entries = {}, {}
-        for i in range(dim):
-            for j in range(i, dim):
-                h_entries[(i, j)] = exact_decomposition(basis, h, i, j)
-                s_entries[(i, j)] = overlap_decomposition(basis, i, j)
-        ests = cls(dim, h_entries, s_entries)
-        return ests if cfg is None else ests.with_shots(cfg)
+    def build(cls, basis: SubspaceBasis, h: PauliSum) -> "MatrixEstimators":
+        """Decompose every upper-triangle entry from the stacked basis states."""
+        if not basis.states:
+            raise ValueError("empty basis")
+        amps = np.array([state.amplitudes for state in basis.states])
+        d = len(amps)
+        rows, cols = np.triu_indices(d)
+        # one bra at a time: row i of the upper triangle is entries (i, i..d-1)
+        p_values = np.empty((len(rows), len(h)))
+        for i, start in enumerate(np.flatnonzero(cols == rows)):
+            coeffs, values = pauli_expectations(amps[i:i + 1], h, amps[i:])
+            p_values[start:start + d - i] = _real(values[0], _IMAG_TOL, "entry expectation")
+        overlaps = np.array([np.vdot(amps[i], amps[j]) for i, j in zip(rows, cols)])
+        return cls(d, _real(coeffs, _IMAG_TOL, "Hamiltonian coefficient"),
+                   np.clip(p_values, -1.0, 1.0, out=p_values),
+                   np.clip(_real(overlaps, _IMAG_TOL, "overlap"), -1.0, 1.0))
 
-    def with_shots(self, cfg: ShotConfig) -> "MatrixEstimators":
-        """The same decompositions with shots reassigned under cfg.
+    def matrix(self, values: np.ndarray) -> np.ndarray:
+        """The symmetric (dim, dim) matrix with these upper-triangle entries."""
+        rows, cols = self.entries
+        out = np.empty((self.dim, self.dim))
+        out[rows, cols] = values
+        out[cols, rows] = values
+        return out
 
-        Only the shot counts depend on tau, importance sampling and the
-        overlap multiplier, so a sweep over those decomposes once.
+    def sample(self, cfgs: Sequence[ShotConfig], runs: Sequence[int]
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Estimates of every H and S entry, each (cells, runs, E).
+
+        Each entry's stream for each run (see the module docstring) is
+        seeded once and reset for every cell, so entry e of cell c and run
+        r equals sample_entry on cell c's shots with a fresh stream.  Only
+        one (cells, T) block of draws is held at a time.
         """
-        return MatrixEstimators(
-            self.dim,
-            {key: _assign_shots(est, cfg) for key, est in self.h_entries.items()},
-            {key: _assign_shots(est, cfg, multiplier=cfg.s_multiplier)
-             for key, est in self.s_entries.items()})
-
-    def sample(self, cfg: ShotConfig, run_index: int) -> tuple[np.ndarray, np.ndarray]:
-        m = self.dim
-        h_noisy = np.zeros((m, m))
-        s_noisy = np.zeros((m, m))
-        for (i, j), est in self.h_entries.items():
-            v = sample_entry(est, cfg, _entry_rng(cfg, run_index, i, j, 0))
-            h_noisy[i, j] = h_noisy[j, i] = v
-        for (i, j), est in self.s_entries.items():
-            v = sample_entry(est, cfg, _entry_rng(cfg, run_index, i, j, 1))
-            s_noisy[i, j] = s_noisy[j, i] = v
-        return h_noisy, s_noisy
+        if len({(cfg.seed, cfg.mode) for cfg in cfgs}) != 1:
+            raise ValueError("the cells of one sweep share a seed and a mode")
+        seed, binomial = cfgs[0].seed, cfgs[0].mode == MODE_BINOMIAL
+        h_shots = np.array([_shot_counts(self.coeffs, cfg) for cfg in cfgs])
+        s_shots = np.array([_shot_counts([1.0], cfg, cfg.s_multiplier)[0] for cfg in cfgs])
+        rows, cols = self.entries
+        h_out = np.empty((len(cfgs), len(runs), len(rows)))
+        s_out = np.empty_like(h_out)
+        bitgen = np.random.PCG64()
+        rng = np.random.Generator(bitgen)
+        draw = rng.binomial if binomial else rng.normal
+        for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            # an overlap is the single identity term, so its draws are scalars
+            for tag, p, shots, out in ((0, self.p_values[e], h_shots, h_out),
+                                       (1, self.overlaps[e], s_shots, s_out)):
+                if binomial:
+                    args = [(n, (1.0 + p) / 2.0) for n in shots]
+                else:
+                    args = list(zip(shots * p, np.sqrt(shots * (1.0 - p * p))))
+                draws = np.empty(shots.shape, dtype=np.int64 if binomial else float)
+                for r, run in enumerate(runs):
+                    state = np.random.PCG64(
+                        np.random.SeedSequence((seed, run, i, j, tag))).state
+                    for c, cell_args in enumerate(args):
+                        bitgen.state = state
+                        draws[c] = draw(*cell_args)
+                    lam = 2.0 * draws - shots if binomial else draws
+                    out[:, r, e] = (np.sum(self.coeffs * lam / shots, axis=-1)
+                                    if tag == 0 else lam / shots)
+        return h_out, s_out
 
 
 def perturb_matrices(h_mat: np.ndarray, s_mat: np.ndarray, basis: SubspaceBasis,
@@ -221,11 +264,14 @@ def perturb_matrices(h_mat: np.ndarray, s_mat: np.ndarray, basis: SubspaceBasis,
     Hermitian symmetry is restored by mirroring.  h_mat/s_mat are accepted
     for interface symmetry and cross-checked against the decompositions.
     """
-    ests = MatrixEstimators.build(basis, h, cfg)
-    for (i, j), est in ests.h_entries.items():
-        if abs(est.exact_value - h_mat[i, j].real) > 1e-8:
-            raise ValueError(f"H[{i},{j}] disagrees with its decomposition")
-    return ests.sample(cfg, run_index)
+    ests = MatrixEstimators.build(basis, h)
+    rows, cols = ests.entries
+    bad = np.abs(ests.p_values @ ests.coeffs - h_mat[rows, cols].real) > 1e-8
+    if bad.any():
+        e = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"H[{rows[e]},{cols[e]}] disagrees with its decomposition")
+    h_vals, s_vals = ests.sample([cfg], [run_index])
+    return ests.matrix(h_vals[0, 0]), ests.matrix(s_vals[0, 0])
 
 
 @dataclass
@@ -242,36 +288,44 @@ class McSummary:
     kept_dims: list[int]
 
 
-def mc_experiment(h_mat: np.ndarray, s_mat: np.ndarray, basis: SubspaceBasis,
-                  h: PauliSum, cfg: ShotConfig, runs: int = 100,
-                  s_threshold: float = NOISY_S_THRESHOLD,
-                  estimators: MatrixEstimators | None = None) -> McSummary:
-    """Repeat perturb-and-solve; report |eps0(noisy) - eps0(exact)| statistics.
+def mc_sweep(h_mat: np.ndarray, s_mat: np.ndarray, estimators: MatrixEstimators,
+             cfgs: Sequence[ShotConfig], runs: int = 100,
+             s_threshold: float = NOISY_S_THRESHOLD) -> list[McSummary]:
+    """Repeat perturb-and-solve for every shot cell; report
+    |eps0(noisy) - eps0(exact)| statistics per cell.
 
-    The 95% confidence band is the empirical 2.5/97.5 percentile range.
-    A sweep over shot configurations passes the estimators of (basis, h),
-    decomposed once; only their shots are assigned under cfg.
+    All cells sample from one set of streams (MatrixEstimators.sample), then
+    each (cell, run) pair is one GEVP.  The 95% confidence band is the
+    empirical 2.5/97.5 percentile range.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs")
     exact = solve_gevp(h_mat, s_mat, DEFAULT_S_THRESHOLD).ground_energy
-    if estimators is None:
-        estimators = MatrixEstimators.build(basis, h)
-    ests = estimators.with_shots(cfg)
-    errors = np.zeros(runs)
-    kept_dims = []
-    for r in range(runs):
-        h_noisy, s_noisy = ests.sample(cfg, r)
-        res = solve_gevp(h_noisy, s_noisy, s_threshold)
-        errors[r] = abs(res.ground_energy - exact)
-        kept_dims.append(res.kept_dim)
-    return McSummary(
-        runs=runs, exact_epsilon0=exact,
-        mean_error=float(errors.mean()),
-        median_error=float(np.median(errors)),
-        ci_low=float(np.percentile(errors, 2.5)),
-        ci_high=float(np.percentile(errors, 97.5)),
-        errors=errors, kept_dims=kept_dims)
+    h_vals, s_vals = estimators.sample(cfgs, range(runs))
+    summaries = []
+    for h_cell, s_cell in zip(h_vals, s_vals):
+        errors = np.zeros(runs)
+        kept_dims = []
+        for r, (hv, sv) in enumerate(zip(h_cell, s_cell)):
+            res = solve_gevp(estimators.matrix(hv), estimators.matrix(sv), s_threshold)
+            errors[r] = abs(res.ground_energy - exact)
+            kept_dims.append(res.kept_dim)
+        summaries.append(McSummary(
+            runs=runs, exact_epsilon0=exact,
+            mean_error=float(errors.mean()),
+            median_error=float(np.median(errors)),
+            ci_low=float(np.percentile(errors, 2.5)),
+            ci_high=float(np.percentile(errors, 97.5)),
+            errors=errors, kept_dims=kept_dims))
+    return summaries
+
+
+def mc_experiment(h_mat: np.ndarray, s_mat: np.ndarray, basis: SubspaceBasis,
+                  h: PauliSum, cfg: ShotConfig, runs: int = 100,
+                  s_threshold: float = NOISY_S_THRESHOLD) -> McSummary:
+    """mc_sweep over the single cell cfg."""
+    return mc_sweep(h_mat, s_mat, MatrixEstimators.build(basis, h), [cfg], runs,
+                    s_threshold)[0]
 
 
 def hf_filter(value: float, threshold: float = 0.2) -> int:

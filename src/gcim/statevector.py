@@ -32,14 +32,14 @@ def _signs(idx: np.ndarray, z) -> np.ndarray:
 
 class _Compiled:
     """Compiled form of one PauliSum; the parts past the matrix are built
-    the first time exp_apply or pauli_decomposition needs them."""
+    the first time exp_apply or pauli_expectations needs them."""
 
     __slots__ = ("matrix", "blocks", "terms")
 
     def __init__(self, matrix: sp.csr_array):
         self.matrix = matrix
         self.blocks = None   # generator blocks, see _generator_blocks
-        self.terms = None    # label-sorted strings, see pauli_decomposition
+        self.terms = None    # label-sorted strings, see pauli_expectations
 
 
 def _compiled(h: PauliSum) -> _Compiled:
@@ -250,15 +250,19 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     return expectation(a, None, b)
 
 
-def pauli_decomposition(bra: StateVector, h: PauliSum, ket: StateVector
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients c_k and unit-string expectations <bra|P_k|ket> of h.
+def pauli_expectations(bras: np.ndarray, h: PauliSum, kets: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c_k of h and every <bras[a]|P_k|kets[b]>.
 
-    Both arrays follow h.sorted_terms() order, so <bra|h|ket> = sum c_k p_k.
-    The strings sharing an X mask x are evaluated together: each is a signed
-    sum over the one product conj(bra[j ^ x]) * ket[j].
+    bras (A, 2^n) and kets (B, 2^n) are stacked amplitudes; the values are
+    (A, B, T) with terms in h.sorted_terms() order, so <bras[a]|h|kets[b]>
+    = sum_k c_k values[a, b, k].  The strings sharing an X mask x map j to
+    j ^ x, so each group shifts the conjugated bras once; per pair its
+    strings are one signed sum over conj(bra[j ^ x]) * ket[j].  That sum is
+    the same product whatever the stack, so a pair's values do not depend
+    on what else is evaluated with it, to the last bit.
     """
-    if not bra.n_qubits == ket.n_qubits == h.n_qubits:
+    if not bras.shape[-1] == kets.shape[-1] == 1 << h.n_qubits:
         raise ValueError("register size mismatch")
     comp = _compiled(h)
     if comp.terms is None:
@@ -274,10 +278,12 @@ def pauli_decomposition(bra: StateVector, h: PauliSum, ket: StateVector
              for x, ks in groups.items()])
     coeffs, groups = comp.terms
     idx = np.arange(1 << h.n_qubits)
-    values = np.empty(coeffs.size, dtype=complex)
+    values = np.empty((len(bras), len(kets), coeffs.size), dtype=complex)
     for x, ks, z, phase in groups:
-        prod = np.conj(bra.amplitudes[idx ^ x]) * ket.amplitudes
-        values[ks] = phase * (_signs(idx, z) @ prod)
+        signs = _signs(idx, z)
+        for a, shifted in enumerate(np.conj(bras[:, idx ^ x])):
+            for b, ket in enumerate(kets):
+                values[a, b, ks] = phase * (signs @ (shifted * ket))
     return coeffs, values
 
 

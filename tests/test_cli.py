@@ -185,6 +185,34 @@ def test_noise_sweep_csv(tmp_path):
     assert (tmp_path / "out" / "noise.csv").read_bytes() == first
 
 
+@pytest.mark.parametrize("mode", ["gaussian", "binomial-exact"])
+def test_noise_csv_matches_golden(tmp_path, mode):
+    # noise.csv from the per-entry sampler the sweep replaced; rel=1e-9 leaves
+    # room for rounding in the solves, not for a changed draw
+    golden = Path(__file__).parent / "data" / f"noise_toy_{mode}.csv"
+    doc = _toy_doc(tmp_path, shots={"mode": mode}, tau_grid=[1e6, 1e8, 1e10],
+                   noise_runs=6)
+    cfg_path = _write_config(tmp_path, doc)
+    assert main(["noise", "--config", str(cfg_path), "--seed", "7"]) == EXIT_OK
+    got = list(csv.reader((tmp_path / "out" / "noise.csv").read_text().splitlines()))
+    want = list(csv.reader(golden.read_text().splitlines()))
+    assert got[0] == want[0] and len(got) == len(want) == 7
+    for row, ref in zip(got[1:], want[1:]):
+        assert [float(v) for v in row] == pytest.approx([float(v) for v in ref],
+                                                        rel=1e-9, abs=0)
+
+
+def test_noise_rejects_shot_counts_past_int64(tmp_path, capsys):
+    # 1e17 * s_multiplier 100 overlap shots: refused before the adapt loop runs
+    doc = _toy_doc(tmp_path, tau_grid=[1e10, 1e17], noise_runs=2)
+    cfg_path = _write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="int64"):
+        load_config(cfg_path)
+    assert main(["noise", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert "int64" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "noise.csv").exists()
+
+
 def test_noise_rejects_other_algorithms(tmp_path, capsys):
     doc = _toy_doc(tmp_path, algorithms=["adapt-vqe"], tau_grid=[1e10], noise_runs=2)
     assert main(["noise", "--config", str(_write_config(tmp_path, doc))]) != EXIT_OK

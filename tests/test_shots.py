@@ -11,6 +11,7 @@ from gcim.shots import (
     exact_decomposition,
     hf_filter,
     mc_experiment,
+    mc_sweep,
     overlap_decomposition,
     perturb_matrices,
     sample_entry,
@@ -114,6 +115,17 @@ def test_sample_entry_unbiased_generic():
 def test_allocate_shots_is_reference_case():
     shots = allocate_shots_is([1.0, 3.0], tau=100, n_term=2)
     assert shots.tolist() == [50, 150]
+
+
+def test_shot_counts_past_int64_are_errors():
+    # an overflowing share used to wrap negative and be clipped to one shot
+    with pytest.raises(ValueError):
+        allocate_shots_is([1.0, 3.0], tau=1e19)
+    with pytest.raises(ValueError):
+        allocate_shots_uniform([1.0, 3.0], tau=1e19)
+    with pytest.raises(ValueError):
+        ShotConfig(tau=1e17)  # 1e19 overlap shots at s_multiplier 100
+    assert ShotConfig(tau=1e16).tau == 1e16
 
 
 def test_allocate_shots_is_uniform_when_equal():
@@ -230,36 +242,80 @@ def test_mc_experiment_error_shrinks_with_tau(toy):
 def test_matrix_estimators_cache_consistency(toy):
     h, basis = _toy_noise_setup(toy)
     cfg = ShotConfig(tau=100, seed=19, importance_sampling=True)
-    ests = MatrixEstimators.build(basis, h, cfg)
+    ests = MatrixEstimators.build(basis, h)
     h_mat, s_mat = build_matrices(basis, h)
-    for (i, j), est in ests.h_entries.items():
-        assert est.exact_value == pytest.approx(h_mat[i, j].real, abs=1e-10)
-        assert est.shots is not None and np.all(est.shots >= 1)
+    rows, cols = ests.entries
+    for e, (i, j) in enumerate(zip(rows, cols)):
+        assert ests.coeffs @ ests.p_values[e] == pytest.approx(h_mat[i, j].real, abs=1e-10)
+    # every H entry shares the coefficients, so one allocation serves them all
+    h_shots = allocate_shots_is(ests.coeffs, cfg.tau)
+    assert np.all(h_shots >= 1)
     # overlap entries get s_multiplier-times more shots
-    s_est = ests.s_entries[(0, 1)]
-    assert s_est.shots[0] == int(round(cfg.tau * cfg.s_multiplier))
+    s_shots = allocate_shots_is([1.0], cfg.tau * cfg.s_multiplier)
+    assert s_shots[0] == int(round(cfg.tau * cfg.s_multiplier))
 
 
-def test_reassigned_shots_reproduce_a_fresh_build(toy):
+def test_sweep_cells_reproduce_single_cells(toy):
     # a sweep decomposes once; each cell must sample exactly as if built anew
     h, basis = _toy_noise_setup(toy)
     h_mat, s_mat = build_matrices(basis, h)
     first = MatrixEstimators.build(basis, h)
-    for cfg in (ShotConfig(tau=1e9, seed=5),
-                ShotConfig(tau=300, seed=5, importance_sampling=True, s_multiplier=7)):
-        fresh = MatrixEstimators.build(basis, h, cfg)
-        reused = first.with_shots(cfg)
-        for key, est in fresh.h_entries.items():
-            assert np.array_equal(reused.h_entries[key].shots, est.shots)
-            assert reused.h_entries[key].p_values is first.h_entries[key].p_values
-        for key, est in fresh.s_entries.items():
-            assert np.array_equal(reused.s_entries[key].shots, est.shots)
+    cells = [ShotConfig(tau=1e9, seed=5),
+             ShotConfig(tau=300, seed=5, importance_sampling=True, s_multiplier=7)]
+    swept = first.sample(cells, range(3))
+    for c, cfg in enumerate(cells):
+        alone = MatrixEstimators.build(basis, h).sample([cfg], range(3))
+        for a, b in zip(swept, alone):
+            assert np.array_equal(a[c], b[0])
         for run in range(3):
-            for a, b in zip(reused.sample(cfg, run), fresh.sample(cfg, run)):
-                assert np.array_equal(a, b)
-        swept = mc_experiment(h_mat, s_mat, basis, h, cfg, runs=4, estimators=first)
+            pair = perturb_matrices(h_mat, s_mat, basis, h, cfg, run_index=run)
+            for a, b in zip(pair, swept):
+                assert np.array_equal(a, first.matrix(b[c, run]))
+    for cfg, summary in zip(cells, mc_sweep(h_mat, s_mat, first, cells, runs=4)):
         alone = mc_experiment(h_mat, s_mat, basis, h, cfg, runs=4)
-        assert np.array_equal(swept.errors, alone.errors)
+        assert np.array_equal(summary.errors, alone.errors)
+    with pytest.raises(ValueError):
+        first.sample([ShotConfig(seed=1), ShotConfig(seed=2)], range(2))
+
+
+@pytest.mark.parametrize("mode", ["binomial-exact", "gaussian"])
+def test_sweep_stream_contract(toy, mode):
+    # entry (i, j) of run r in every cell is sample_entry on that cell's
+    # shots with a fresh stream keyed (seed, r, i, j, tag), tag 0 = H, 1 = S
+    h, basis = _toy_noise_setup(toy)
+    ests = MatrixEstimators.build(basis, h)
+    seed = 29
+    cells = [ShotConfig(tau=tau, mode=mode, importance_sampling=flag, seed=seed)
+             for tau in (1e4, 1e8) for flag in (False, True)]
+    runs = range(3)
+    h_vals, s_vals = ests.sample(cells, runs)
+    rows, cols = ests.entries
+    for c, cfg in enumerate(cells):
+        alloc = allocate_shots_is if cfg.importance_sampling else allocate_shots_uniform
+        for e, (i, j) in enumerate(zip(rows, cols)):
+            h_est = exact_decomposition(basis, h, i, j)
+            s_est = overlap_decomposition(basis, i, j)
+            assert np.array_equal(h_est.p_values, ests.p_values[e])
+            assert np.array_equal(s_est.p_values, ests.overlaps[e:e + 1])
+            h_est.shots = alloc(h_est.coeffs, cfg.tau)
+            s_est.shots = alloc(s_est.coeffs, cfg.tau * cfg.s_multiplier)
+            for r in runs:
+                for tag, est, vals in ((0, h_est, h_vals), (1, s_est, s_vals)):
+                    rng = np.random.default_rng(np.random.SeedSequence((seed, r, i, j, tag)))
+                    assert sample_entry(est, cfg, rng) == vals[c, r, e]
+
+
+def test_sweep_cells_share_random_numbers(toy):
+    # a Gaussian draw is loc + scale * z, and every cell of a sweep draws the
+    # same z, so sqrt(tau) * (X(tau) - exact) is the same at every tau
+    h, basis = _toy_noise_setup(toy)
+    ests = MatrixEstimators.build(basis, h)
+    cells = [ShotConfig(tau=tau, mode="gaussian", seed=31) for tau in (1e8, 1e12)]
+    h_vals, s_vals = ests.sample(cells, range(4))
+    for vals, exact in ((h_vals, ests.p_values @ ests.coeffs), (s_vals, ests.overlaps)):
+        lo, hi = (np.sqrt(cfg.tau) * (vals[c] - exact) for c, cfg in enumerate(cells))
+        assert np.max(np.abs(lo)) > 1e-3   # the comparison is not between zeros
+        np.testing.assert_allclose(hi, lo, rtol=1e-6, atol=1e-9)
 
 
 def test_hf_filter_branches():
