@@ -362,3 +362,74 @@ def test_run_oracle_uses_reference_sector(tmp_path):
     assert summary["oracle_sector"] == [1, 1]
     assert abs(summary["exact_energy"] - (4.0 - 2.0 * np.sqrt(5.0))) < 1e-12
     assert abs(summary["energy_error"]) < 1e-10 and summary["overlap_deficit"] < 1e-10
+
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _assert_same(got, want, where: str) -> None:
+    # ints and strings exactly, floats to rel 1e-9; abs 1e-13 absorbs the
+    # rounding-level errors (~1e-16) that another BLAS reports differently
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-13), where
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def _assert_matches_golden(out: Path, golden: Path) -> None:
+    for want_path in sorted(golden.rglob("*.*")):
+        name = str(want_path.relative_to(golden))
+        got_text, want_text = (out / name).read_text(), want_path.read_text()
+        if want_path.suffix == ".csv":
+            got = [[_cell(c) for c in row] for row in csv.reader(got_text.splitlines())]
+            want = [[_cell(c) for c in row] for row in csv.reader(want_text.splitlines())]
+        elif want_path.suffix == ".jsonl":
+            got = [json.loads(line) for line in got_text.splitlines()]
+            want = [json.loads(line) for line in want_text.splitlines()]
+        else:
+            got, want = json.loads(got_text), json.loads(want_text)
+            # the ground vector's global sign and the order of equal-weight
+            # amplitudes are the eigensolver's choice, not the format's
+            for doc in (got, want):
+                amps = sorted(doc["ground_state_top_amplitudes"],
+                              key=lambda a: a["index"])
+                sign = 1.0 if amps[0]["re"] >= 0 else -1.0
+                doc["ground_state_top_amplitudes"] = [
+                    {**a, "re": sign * a["re"], "im": sign * a["im"]} for a in amps]
+        _assert_same(got, want, name)
+
+
+def test_compare_artifacts_match_golden(tmp_path):
+    # trace.jsonl, convergence.csv and compare.csv as the shipped toy
+    # comparison wrote them before the artifact writers were consolidated
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(CONFIG_DIR / "toy_compare.json"),
+                 "--out", str(out)]) == EXIT_OK
+    _assert_matches_golden(out, GOLDEN_DIR / "toy_compare")
+
+
+def test_resources_and_exact_match_golden(tmp_path):
+    cfg = str(CONFIG_DIR / "toy_gcim.json")
+    out = tmp_path / "gcim"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["resources", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _assert_matches_golden(out, GOLDEN_DIR / "toy_gcim")
