@@ -26,7 +26,6 @@ from .pauli import (
     parse_pauli_json,
     pauli_mul,
     pauli_sum_to_json,
-    simplify,
 )
 from .pool import PoolOperator, build_pool, pool_gradient_operator, pool_to_json
 from .resources import ansatz_cnot_total, cnot_count, measurement_estimate
@@ -48,9 +47,7 @@ from .statevector import (
     apply_paulisum,
     exact_spectrum,
     exp_apply,
-    expectation,
     hf_state,
-    overlap,
 )
 from .subspace import (
     BasisRecipe,

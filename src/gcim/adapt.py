@@ -97,6 +97,11 @@ class IterationRecord:
     product_recipe: list[tuple[int, float]]
     eigenvalues: list[float] | None = None  # subspace spectrum, kept out of trace.jsonl
 
+    @property
+    def energy(self) -> float | None:
+        """The iteration's reported energy: epsilon0, else the VQE energy."""
+        return self.epsilon0 if self.epsilon0 is not None else self.vqe_energy
+
 
 @dataclass
 class AdaptTrace:

@@ -16,13 +16,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
 
 import jsonschema
 
-from .adapt import ADAPT_GCIM, AdaptConfig, AdaptTrace, run_algorithm
+from .adapt import ADAPT_GCIM, AdaptConfig, AdaptTrace, IterationRecord, run_algorithm
 from .fcidump import parse_fcidump, assemble_hamiltonian
 from .fermion import jordan_wigner
 from .pauli import PauliSum, ResourceLimitError, parse_pauli_json
@@ -171,33 +171,17 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _record_json(rec) -> dict:
-    return {
-        "iteration": rec.iteration,
-        "selected_index": rec.selected_index,
-        "selected_label": rec.selected_label,
-        "gradients": rec.gradients,
-        "gradient_max": rec.gradient_max,
-        "gradient_sum": rec.gradient_sum,
-        "epsilon0": rec.epsilon0,
-        "vqe_energy": rec.vqe_energy,
-        "subspace_dim": rec.subspace_dim,
-        "kept_dim": rec.kept_dim,
-        "opt_rounds": rec.opt_rounds,
-        "product_recipe": [[i, t] for i, t in rec.product_recipe],
-    }
-
-
 def trace_jsonl(trace: AdaptTrace) -> str:
-    return "".join(json.dumps(_record_json(r), sort_keys=True) + "\n"
-                   for r in trace.records)
+    """One IterationRecord per line, without the subspace spectrum; the
+    fields are read shallowly, since asdict would deep-copy every gradient."""
+    return "".join(
+        json.dumps({k: v for k, v in vars(rec).items() if k != "eigenvalues"},
+                   sort_keys=True) + "\n"
+        for rec in trace.records)
 
 
 def summary_dict(trace: AdaptTrace, cfg: RunConfig, system: System) -> dict:
-    ex_ev = []
-    if trace.result is not None and trace.result.kept_dim >= 2:
-        ex_ev = excitation_energies(trace.result)
-    est = measurement_estimate(trace, n_term=len(system.h))
+    result = trace.result
     return {
         "algorithm": trace.algorithm,
         "converged": trace.converged,
@@ -206,13 +190,14 @@ def summary_dict(trace: AdaptTrace, cfg: RunConfig, system: System) -> dict:
         "final_energy": trace.final_energy,
         "final_vqe_energy": trace.final_vqe_energy,
         "eigenvalues": trace.eigenvalues,
-        "excitation_energies_ev": ex_ev,
+        "excitation_energies_ev": (excitation_energies(result)
+                                   if result is not None and result.kept_dim >= 2 else []),
         "exact_energy": trace.exact_energy,
         "oracle_sector": trace.oracle_sector,
         "energy_error": trace.energy_error,
         "overlap_deficit": trace.overlap_deficit_value,
         "subspace_dim": len(trace.basis) if trace.basis is not None else None,
-        "kept_dim": trace.result.kept_dim if trace.result is not None else None,
+        "kept_dim": result.kept_dim if result is not None else None,
         "s_threshold": cfg.adapt_config(trace.algorithm).s_threshold,
         "total_opt_rounds": trace.total_opt_rounds,
         "time_gradients_s": trace.time_gradients,
@@ -221,30 +206,31 @@ def summary_dict(trace: AdaptTrace, cfg: RunConfig, system: System) -> dict:
         "source": system.source,
         "n_qubits": system.n_qubits,
         "pool_size": len(system.pool),
-        "measurement_estimate": {
-            "n_iterations": est.n_iterations,
-            "n_generating_functions": est.n_generating_functions,
-            "n_hamiltonian_terms": est.n_hamiltonian_terms,
-            "total_opt_rounds": est.total_opt_rounds,
-            "vqe_style_total": est.vqe_style_total,
-            "gcim_style_total": est.gcim_style_total,
-        },
+        "measurement_estimate": asdict(measurement_estimate(trace, n_term=len(system.h))),
     }
 
 
-def _iter_energy(rec) -> float | None:
-    return rec.epsilon0 if rec.epsilon0 is not None else rec.vqe_energy
-
-
-def convergence_csv(trace: AdaptTrace, exact_energy: float | None) -> str:
+def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["iteration", "energy", "abs_error"])
-    for rec in trace.records:
-        e = _iter_energy(rec)
-        err = "" if (exact_energy is None or e is None) else repr(abs(e - exact_energy))
-        w.writerow([rec.iteration, "" if e is None else repr(e), err])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def _cell(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
+def _abs_error(energy: float | None, exact: float | None) -> float | None:
+    return None if energy is None or exact is None else abs(energy - exact)
+
+
+def convergence_csv(trace: AdaptTrace) -> str:
+    return _csv(["iteration", "energy", "abs_error"],
+                ([rec.iteration, _cell(rec.energy),
+                  _cell(_abs_error(rec.energy, trace.exact_energy))]
+                 for rec in trace.records))
 
 
 def _matrices_jsonl(trace: AdaptTrace, h: PauliSum) -> str:
@@ -273,11 +259,11 @@ def _matrices_jsonl(trace: AdaptTrace, h: PauliSum) -> str:
     return "".join(lines)
 
 
-def _exact_reference(system: System, k: int = 1) -> ExactSpectrum | None:
-    """Lowest k eigenpairs of the reference's sector, or None when the
-    register exceeds the oracle's size limit."""
+def _exact_reference(system: System) -> ExactSpectrum | None:
+    """Ground pair of the reference's sector, or None when the register
+    exceeds the oracle's size limit."""
     try:
-        return exact_spectrum(system.h, k=k, reference=system.reference)
+        return exact_spectrum(system.h, reference=system.reference)
     except ResourceLimitError:
         return None
 
@@ -292,15 +278,13 @@ def _execute(cfg: RunConfig, algorithm: str, system: System, out_dir: Path,
     _atomic_write(out_dir / "summary.json",
                   json.dumps(summary_dict(trace, cfg, system), indent=1,
                              sort_keys=True) + "\n")
-    _atomic_write(out_dir / "convergence.csv",
-                  convergence_csv(trace, trace.exact_energy))
+    _atomic_write(out_dir / "convergence.csv", convergence_csv(trace))
     if cfg.dump_matrices:
         _atomic_write(out_dir / "matrices.jsonl", _matrices_jsonl(trace, system.h))
     return trace
 
 
-def _run_algorithms(cfg: RunConfig) -> tuple[System, ExactSpectrum | None,
-                                               dict[str, AdaptTrace], int]:
+def _run_algorithms(cfg: RunConfig) -> tuple[System, dict[str, AdaptTrace], int]:
     """Build the system, compute its oracle once and run every configured
     algorithm, writing its artifacts to out_dir (one algorithm) or
     out_dir/<algorithm> (several).  Returns the exit status with the rest."""
@@ -311,12 +295,12 @@ def _run_algorithms(cfg: RunConfig) -> tuple[System, ExactSpectrum | None,
                             cfg.out_dir if single else cfg.out_dir / alg, spectrum)
               for alg in cfg.algorithms}
     converged = all(t.converged for t in traces.values())
-    return system, spectrum, traces, EXIT_OK if converged else EXIT_UNCONVERGED
+    return system, traces, EXIT_OK if converged else EXIT_UNCONVERGED
 
 
 def cmd_run(cfg: RunConfig) -> int:
     """Run the configured algorithm(s); artifacts per algorithm."""
-    system, _, _, status = _run_algorithms(cfg)
+    system, _, status = _run_algorithms(cfg)
     _atomic_write(cfg.out_dir / "pool.json",
                   json.dumps(pool_to_json(system.pool), indent=1) + "\n")
     return status
@@ -326,30 +310,19 @@ def cmd_compare(cfg: RunConfig) -> int:
     """Run >= 2 algorithms on one Hamiltonian/pool/seed; aligned error CSV."""
     if len(cfg.algorithms) < 2:
         raise ConfigError("compare needs at least two algorithms")
-    _, spectrum, traces, status = _run_algorithms(cfg)
-    exact = float(spectrum.eigenvalues[0]) if spectrum is not None else None
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    header = ["iteration"] + [f"abs_error_{alg}" if exact is not None else f"energy_{alg}"
-                              for alg in cfg.algorithms]
-    w.writerow(header)
-    depth = max((t.iterations for t in traces.values()), default=0)
-    for it in range(1, depth + 1):
-        row = [it]
-        for alg in cfg.algorithms:
-            recs = traces[alg].records
-            if it <= len(recs):
-                e = _iter_energy(recs[it - 1])
-                if e is None:
-                    row.append("")
-                else:
-                    row.append(repr(abs(e - exact)) if exact is not None else repr(e))
-            else:
-                row.append("")
-        w.writerow(row)
-    w.writerow(["chemical_accuracy"] + [repr(CHEMICAL_ACCURACY)] * len(cfg.algorithms))
-    _atomic_write(cfg.out_dir / "compare.csv", buf.getvalue())
+    _, traces, status = _run_algorithms(cfg)
+    columns = [traces[alg] for alg in cfg.algorithms]
+    exact = columns[0].exact_energy
+    prefix = "energy" if exact is None else "abs_error"
+    rows = []
+    for it in range(1, max(t.iterations for t in columns) + 1):
+        energies = [t.records[it - 1].energy if it <= t.iterations else None
+                    for t in columns]
+        rows.append([it] + [_cell(e if exact is None else _abs_error(e, exact))
+                            for e in energies])
+    rows.append(["chemical_accuracy"] + [repr(CHEMICAL_ACCURACY)] * len(columns))
+    header = ["iteration"] + [f"{prefix}_{alg}" for alg in cfg.algorithms]
+    _atomic_write(cfg.out_dir / "compare.csv", _csv(header, rows))
     return status
 
 
@@ -360,13 +333,9 @@ def _noise_basis(trace: AdaptTrace, system: System) -> SubspaceBasis:
     Sweeping noise over this subspace (rather than the fully converged,
     rank-deficient one) isolates finite-shot effects from basis redundancy.
     """
-    pick = trace.records[-1]
-    for rec in trace.records:
-        if rec.epsilon0 is not None and \
-                abs(rec.epsilon0 - trace.final_energy) <= 1e-12:
-            pick = rec
-            break
-    d = pick.subspace_dim
+    d = next((rec.subspace_dim for rec in trace.records if rec.epsilon0 is not None
+              and abs(rec.epsilon0 - trace.final_energy) <= 1e-12),
+             trace.records[-1].subspace_dim)
     return SubspaceBasis(reference=system.reference, pool=system.pool,
                          recipes=trace.basis.recipes[:d],
                          states=trace.basis.states[:d])
@@ -385,18 +354,16 @@ def cmd_noise(cfg: RunConfig) -> int:
     d = len(basis)
     h_mat, s_mat = build_matrices(trace.basis, system.h)
     h_mat, s_mat = h_mat[:d, :d], s_mat[:d, :d]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["tau", "importance_sampling", "mean_error", "ci_low", "ci_high"])
     cells = [cfg.shot_config(tau=float(tau), importance_sampling=is_flag)
              for tau in cfg.tau_grid for is_flag in (False, True)]
     summaries = mc_sweep(h_mat, s_mat, MatrixEstimators.build(basis, system.h),
                          cells, runs=cfg.noise_runs)
-    for cell, summary in zip(cells, summaries):
-        w.writerow([repr(cell.tau), int(cell.importance_sampling),
-                    repr(summary.mean_error), repr(summary.ci_low),
-                    repr(summary.ci_high)])
-    _atomic_write(cfg.out_dir / "noise.csv", buf.getvalue())
+    rows = [[repr(cell.tau), int(cell.importance_sampling), repr(summary.mean_error),
+             repr(summary.ci_low), repr(summary.ci_high)]
+            for cell, summary in zip(cells, summaries)]
+    _atomic_write(cfg.out_dir / "noise.csv",
+                  _csv(["tau", "importance_sampling", "mean_error", "ci_low", "ci_high"],
+                       rows))
     return EXIT_OK
 
 
@@ -408,33 +375,31 @@ def cmd_resources(cfg: RunConfig, trace_path: str | Path | None = None) -> int:
     system = build_system(cfg)
     spectrum = _exact_reference(system)
     exact = float(spectrum.eigenvalues[0]) if spectrum is not None else None
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["iteration", "error_level", "new_generator_cnots",
-                "product_cnots", "scheme"])
-    for line in path.read_text().splitlines():
+    rows = []
+    for n, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        recipe = BasisRecipe.from_steps(rec["product_recipe"])
-        energy = rec["epsilon0"] if rec["epsilon0"] is not None else rec["vqe_energy"]
-        err = "" if (exact is None or energy is None) else repr(abs(energy - exact))
+        try:
+            rec = IterationRecord(**json.loads(line))
+        except TypeError as exc:
+            raise ValueError(f"{path}:{n}: not a trace record ({exc})") from exc
+        recipe = BasisRecipe.from_steps(rec.product_recipe)
+        err = _cell(_abs_error(rec.energy, exact))
         for scheme in SCHEMES:
-            new_cnots = (cnot_count(system.pool[rec["selected_index"]], scheme)
-                         if rec["selected_index"] is not None else 0)
-            w.writerow([rec["iteration"], err, new_cnots,
-                        ansatz_cnot_total(recipe, system.pool, scheme), scheme])
-    _atomic_write(cfg.out_dir / "resources.csv", buf.getvalue())
+            new_cnots = (cnot_count(system.pool[rec.selected_index], scheme)
+                         if rec.selected_index is not None else 0)
+            rows.append([rec.iteration, err, new_cnots,
+                         ansatz_cnot_total(recipe, system.pool, scheme), scheme])
+    _atomic_write(cfg.out_dir / "resources.csv",
+                  _csv(["iteration", "error_level", "new_generator_cnots",
+                        "product_cnots", "scheme"], rows))
     return EXIT_OK
 
 
 def cmd_exact(cfg: RunConfig) -> int:
     """Dump the exact low-lying spectrum of the reference's sector."""
     system = build_system(cfg)
-    spectrum = _exact_reference(system, k=cfg.exact_k)
-    if spectrum is None:
-        raise ResourceLimitError(
-            f"exact spectrum of {system.n_qubits} qubits exceeds the desk-scale limit")
+    spectrum = exact_spectrum(system.h, k=cfg.exact_k, reference=system.reference)
     doc = {
         "source": system.source,
         "n_qubits": system.n_qubits,

@@ -59,6 +59,13 @@ class SpatialIntegrals:
             raise ValueError(f"n_orb must be >= 1, got {self.n_orb}")
         if not 0 <= self.n_elec <= 2 * self.n_orb:
             raise ValueError(f"n_elec {self.n_elec} outside [0, {2 * self.n_orb}]")
+        if (self.n_elec + self.ms2) % 2:
+            raise ValueError(f"n_elec {self.n_elec} and ms2 {self.ms2} differ in parity")
+        if abs(self.ms2) > self.n_elec:
+            raise ValueError(f"|ms2| {abs(self.ms2)} exceeds n_elec {self.n_elec}")
+        if max(self.n_alpha, self.n_beta) > self.n_orb:
+            raise ValueError(f"{max(self.n_alpha, self.n_beta)} electrons of one spin "
+                             f"exceed n_orb {self.n_orb}")
         n = self.n_orb
         if self.one_body is None:
             self.one_body = np.zeros((n, n))
@@ -116,8 +123,11 @@ def parse_fcidump(text: str) -> SpatialIntegrals:
         if req not in header_fields:
             raise FcidumpError(f"line {data_start}: header is missing {req}")
     n_orb = header_fields["NORB"]
-    if n_orb < 1:
-        raise FcidumpError(f"line {data_start}: NORB must be positive, got {n_orb}")
+    try:
+        ints = SpatialIntegrals(n_orb=n_orb, n_elec=header_fields["NELEC"],
+                                ms2=header_fields["MS2"])
+    except ValueError as exc:
+        raise FcidumpError(f"line {data_start}: {exc}") from exc
 
     core = 0.0
     core_seen = False
@@ -163,8 +173,7 @@ def parse_fcidump(text: str) -> SpatialIntegrals:
                 conflict("two-body", key, two[key], value, ln)
             two[key] = value
 
-    ints = SpatialIntegrals(n_orb=n_orb, n_elec=header_fields["NELEC"],
-                            ms2=header_fields["MS2"], core_energy=core)
+    ints.core_energy = core
     for (i, j), v in one.items():
         ints.one_body[i, j] = v
         ints.one_body[j, i] = v

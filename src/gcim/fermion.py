@@ -23,9 +23,7 @@ for bit, while the set-up cost grows linearly with the number of terms.
 
 from __future__ import annotations
 
-from .pauli import PauliString, PauliSum, mask_mul
-
-COEFF_CUTOFF = 1e-14
+from .pauli import COEFF_CUTOFF, PauliString, PauliSum, mask_mul
 
 
 def up(g: int) -> int:

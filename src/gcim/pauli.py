@@ -71,7 +71,7 @@ class PauliString:
         return self.label
 
 
-_PHASES = tuple((1j) ** k for k in range(4))
+I_POWERS = tuple((1j) ** k for k in range(4))
 
 
 def mask_mul(ax: int, az: int, bx: int, bz: int) -> tuple[complex, int, int]:
@@ -80,7 +80,7 @@ def mask_mul(ax: int, az: int, bx: int, bz: int) -> tuple[complex, int, int]:
     # i^(ya+yb-yc) from Y bookkeeping, (-1)^(za.xb) from commuting Z past X
     k = ((ax & az).bit_count() + (bx & bz).bit_count() - (x & z).bit_count()
          + 2 * (az & bx).bit_count())
-    return _PHASES[k % 4], x, z
+    return I_POWERS[k % 4], x, z
 
 
 def pauli_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
@@ -94,7 +94,8 @@ def pauli_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
 class PauliSum:
     """Complex-weighted sum of PauliStrings on a common register.
 
-    Terms with |coefficient| < COEFF_CUTOFF are dropped on simplify().
+    Duplicate strings merge on construction, and terms with |coefficient|
+    < COEFF_CUTOFF are dropped.
     Instances are treated as immutable once built; all algebra returns
     new objects.  That is what lets statevector cache its compiled matrix
     form in the ``_compiled`` slot on first use.
@@ -111,12 +112,8 @@ class PauliSum:
                 if p.n != n_qubits:
                     raise ValueError("term register size mismatch")
                 self.terms[p] = self.terms.get(p, 0.0) + complex(c)
-            self._drop_small()
-
-    def _drop_small(self) -> None:
-        dead = [p for p, c in self.terms.items() if abs(c) < COEFF_CUTOFF]
-        for p in dead:
-            del self.terms[p]
+            for p in [p for p, c in self.terms.items() if abs(c) < COEFF_CUTOFF]:
+                del self.terms[p]
 
     @classmethod
     def from_label_dict(cls, d: dict[str, complex]) -> "PauliSum":
@@ -193,32 +190,19 @@ class PauliSum:
         return f"PauliSum(n={self.n_qubits}, terms={len(self.terms)})"
 
 
-def simplify(h: PauliSum) -> PauliSum:
-    """Merge duplicate strings and drop coefficients below COEFF_CUTOFF."""
-    return PauliSum(h.n_qubits, dict(h.terms))
-
-
-def jw_to_matrix(h: PauliSum, n: int | None = None) -> np.ndarray:
+def jw_to_matrix(h: PauliSum) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a PauliSum; qubit 0 least significant.
 
     Brute-force oracle backend; refuses n > 16.
     """
-    if n is None:
-        n = h.n_qubits
-    if n != h.n_qubits:
-        raise ValueError("qubit-count mismatch")
+    n = h.n_qubits
     if n > 16:
         raise ResourceLimitError(f"dense 2^{n} matrix exceeds the supported size")
     dim = 1 << n
     idx = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=complex)
     for p, c in h.terms.items():
-        signs = np.ones(dim)
-        zmask = p.z
-        while zmask:
-            b = zmask & -zmask
-            signs *= 1.0 - 2.0 * ((idx & b) != 0)
-            zmask ^= b
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z) & 1)
         mat[idx ^ p.x, idx] += c * (1j) ** p.y_count * signs
     return mat
 
@@ -240,9 +224,13 @@ def parse_pauli_json(text: str) -> PauliSum:
         return PauliSum(0)
     n = None
     out: dict[PauliString, complex] = {}
-    for rec in doc:
-        if not isinstance(rec, dict) or "pauli" not in rec:
-            raise PauliFormatError(f"malformed term record: {rec!r}")
+    for k, rec in enumerate(doc):
+        # exact JSON types: a label or coefficient of another type (a number,
+        # null, a string, a boolean) is a format error, not a TypeError below
+        if not (isinstance(rec, dict) and type(rec.get("pauli")) is str
+                and all(type(rec.get(key, 0.0)) in (int, float)
+                        for key in ("coeff_re", "coeff_im"))):
+            raise PauliFormatError(f"malformed term record {k}: {rec!r}")
         label = rec["pauli"]
         if n is None:
             n = len(label)

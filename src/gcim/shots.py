@@ -85,29 +85,28 @@ class EntryEstimator:
         return float(np.sum(self.coeffs ** 2 * (1.0 - self.p_values ** 2) / self.shots))
 
 
-def _real(values: np.ndarray, imag_tol: float, what: str) -> np.ndarray:
+def _real(values: np.ndarray, what: str) -> np.ndarray:
     """The noise model perturbs around real exact values (real integrals,
-    real rotations), so imaginary parts past imag_tol are errors."""
-    bad = np.abs(values.imag) > imag_tol
+    real rotations), so imaginary parts past _IMAG_TOL are errors."""
+    bad = np.abs(values.imag) > _IMAG_TOL
     if bad.any():
         raise ValueError(f"{what} has imaginary part {values.imag[bad][0]:.2e}")
     return values.real
 
 
-def exact_decomposition(basis: SubspaceBasis, h: PauliSum, i: int, j: int,
-                        imag_tol: float = _IMAG_TOL) -> EntryEstimator:
+def exact_decomposition(basis: SubspaceBasis, h: PauliSum, i: int, j: int
+                        ) -> EntryEstimator:
     """Per-term true expectations for entry (i, j) of the projected H."""
     coeffs, values = pauli_expectations(basis.states[i].amplitudes[None], h,
                                         basis.states[j].amplitudes[None])
-    return EntryEstimator(_real(coeffs, imag_tol, "Hamiltonian coefficient"),
-                          _real(values[0, 0], imag_tol, "entry expectation"))
+    return EntryEstimator(_real(coeffs, "Hamiltonian coefficient"),
+                          _real(values[0, 0], "entry expectation"))
 
 
-def overlap_decomposition(basis: SubspaceBasis, i: int, j: int,
-                          imag_tol: float = _IMAG_TOL) -> EntryEstimator:
+def overlap_decomposition(basis: SubspaceBasis, i: int, j: int) -> EntryEstimator:
     """Overlap entries are the single identity-term case of the model."""
     val = np.array([basis.states[i].inner(basis.states[j])])
-    return EntryEstimator(np.array([1.0]), _real(val, imag_tol, "overlap"))
+    return EntryEstimator(np.array([1.0]), _real(val, "overlap"))
 
 
 def _shot_array(counts) -> np.ndarray:
@@ -201,11 +200,11 @@ class MatrixEstimators:
         p_values = np.empty((len(rows), len(h)))
         for i, start in enumerate(np.flatnonzero(cols == rows)):
             coeffs, values = pauli_expectations(amps[i:i + 1], h, amps[i:])
-            p_values[start:start + d - i] = _real(values[0], _IMAG_TOL, "entry expectation")
+            p_values[start:start + d - i] = _real(values[0], "entry expectation")
         overlaps = np.array([np.vdot(amps[i], amps[j]) for i, j in zip(rows, cols)])
-        return cls(d, _real(coeffs, _IMAG_TOL, "Hamiltonian coefficient"),
+        return cls(d, _real(coeffs, "Hamiltonian coefficient"),
                    np.clip(p_values, -1.0, 1.0, out=p_values),
-                   np.clip(_real(overlaps, _IMAG_TOL, "overlap"), -1.0, 1.0))
+                   np.clip(_real(overlaps, "overlap"), -1.0, 1.0))
 
     def matrix(self, values: np.ndarray) -> np.ndarray:
         """The symmetric (dim, dim) matrix with these upper-triangle entries."""

@@ -19,10 +19,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fermion import down, up
-from .pauli import PauliSum, ResourceLimitError
+from .pauli import I_POWERS, PauliSum, ResourceLimitError
 
 _DENSE_EIG_MAX_DIM = 1024
-_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def _signs(idx: np.ndarray, z) -> np.ndarray:
@@ -61,7 +60,7 @@ def _compile_matrix(h: PauliSum) -> sp.csr_array:
     idx = np.arange(dim, dtype=np.int32)
     groups: dict[int, list[tuple[int, complex]]] = {}
     for p, c in h.terms.items():
-        groups.setdefault(p.x, []).append((p.z, c * _I_POWERS[p.y_count % 4]))
+        groups.setdefault(p.x, []).append((p.z, c * I_POWERS[p.y_count % 4]))
     real = all(f.imag == 0 for g in groups.values() for _, f in g)
     dtype = np.float64 if real else np.complex128
 
@@ -170,9 +169,9 @@ class StateVector:
     def inner(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def top_amplitudes(self, count: int = 8) -> list[dict]:
-        """Largest-weight components, for debug dumps."""
-        order = np.argsort(-np.abs(self.amplitudes))[:count]
+    def top_amplitudes(self) -> list[dict]:
+        """The eight largest-weight components, for debug dumps."""
+        order = np.argsort(-np.abs(self.amplitudes))[:8]
         return [
             {"index": int(i),
              "bits": format(int(i), f"0{self.n_qubits}b")[::-1],
@@ -235,21 +234,6 @@ def exp_apply(a: PauliSum, theta: float, v: StateVector) -> StateVector:
     return StateVector.from_array(amps)
 
 
-def expectation(bra: StateVector, h: PauliSum | None, ket: StateVector) -> complex:
-    """<bra|h|ket>; h = None (or identity) gives the plain overlap."""
-    if bra.n_qubits != ket.n_qubits:
-        raise ValueError("register size mismatch")
-    if h is None:
-        return bra.inner(ket)
-    if h.n_qubits != ket.n_qubits:
-        raise ValueError("register size mismatch")
-    return complex(np.vdot(bra.amplitudes, _matvec(_compiled(h).matrix, ket.amplitudes)))
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    return expectation(a, None, b)
-
-
 def pauli_expectations(bras: np.ndarray, h: PauliSum, kets: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients c_k of h and every <bras[a]|P_k|kets[b]>.
@@ -274,7 +258,7 @@ def pauli_expectations(bras: np.ndarray, h: PauliSum, kets: np.ndarray
             np.array([c for _, c in ordered], dtype=complex),
             [(x, np.array(ks),
               np.array([ordered[k][0].z for k in ks])[:, None],
-              _I_POWERS[[ordered[k][0].y_count % 4 for k in ks]])
+              np.array([I_POWERS[ordered[k][0].y_count % 4] for k in ks]))
              for x, ks in groups.items()])
     coeffs, groups = comp.terms
     idx = np.arange(1 << h.n_qubits)
@@ -292,7 +276,7 @@ class ExactSpectrum:
     """Lowest eigenvalues (ascending, hartree) and the ground eigenvector.
 
     sector is the (n_alpha, n_beta) sector that was diagonalized, or None
-    for the full Fock space.
+    for the full Fock space when no reference was given.
     """
 
     eigenvalues: np.ndarray
@@ -318,14 +302,15 @@ def exact_spectrum(h: PauliSum, k: int = 1,
                    reference: StateVector | None = None) -> ExactSpectrum:
     """Lowest k eigenpairs of a Hermitian PauliSum, from its compiled matrix.
 
-    With a reference, only the determinants of the reference's (n_alpha,
-    n_beta) sector are diagonalized and the ground vector is embedded back
-    into the full register; when h couples that sector to the rest beyond
-    rounding (1e-12 relative to the largest entry in the sector's rows) the
-    full space is used.  Dense eigensolve up to dimension 1024; restarted
-    Krylov (ARPACK) above, from a fixed start vector and with three extra
-    eigenpairs so that a degenerate ground level is not split.  Residuals
-    are verified to 1e-9.
+    With a reference, only the block of h over the determinants of the
+    reference's (n_alpha, n_beta) sector is diagonalized, and the ground
+    vector is embedded back into the full register.  That block is the
+    reference for every method here, whether or not h couples the sector to
+    the rest: the generators conserve both counts, so every generating
+    function, and hence the projected pair, sees only that block.  Dense
+    eigensolve up to dimension 1024; restarted Krylov (ARPACK) above, from a
+    fixed start vector and with three extra eigenpairs so that a degenerate
+    ground level is not split.  Residuals are verified to 1e-9.
     """
     n = h.n_qubits
     if n > 16:
@@ -333,38 +318,30 @@ def exact_spectrum(h: PauliSum, k: int = 1,
     if not h.is_hermitian(1e-10):
         raise ValueError("Hamiltonian is not Hermitian")
     mat = _compiled(h).matrix
-    sub, keep, sector = mat, None, None
+    keep, sector = None, None
     if reference is not None:
         if reference.n_qubits != n:
             raise ValueError("register size mismatch")
-        keep, occ = _sector_indices(reference)
-        rows = mat[keep]
-        inside = np.zeros(mat.shape[0], dtype=bool)
-        inside[keep] = True
-        leak = np.abs(rows.data[~inside[rows.indices]])
-        if leak.size and leak.max() > 1e-12 * np.abs(rows.data).max():
-            keep = None
-        else:
-            sub, sector = rows[:, keep], occ
-    dim = sub.shape[0]
+        keep, sector = _sector_indices(reference)
+        mat = mat[keep][:, keep]
+    dim = mat.shape[0]
     k = min(k, dim)
     if dim <= _DENSE_EIG_MAX_DIM or k >= dim - 1:
         # only the lowest k pairs (MRRR): less workspace than a full eigh
-        vals, evecs = sla.eigh(sub.toarray(), subset_by_index=[0, k - 1], driver="evr")
+        vals, evecs = sla.eigh(mat.toarray(), subset_by_index=[0, k - 1], driver="evr")
         ground = evecs[:, 0]
     else:
-        v0 = np.random.default_rng(0).standard_normal(dim).astype(sub.dtype)
-        evals, evecs = spla.eigsh(sub, k=min(k + 3, dim - 1), which="SA", v0=v0)
+        v0 = np.random.default_rng(0).standard_normal(dim).astype(mat.dtype)
+        evals, evecs = spla.eigsh(mat, k=min(k + 3, dim - 1), which="SA", v0=v0)
         order = np.argsort(evals)
         vals = evals[order][:k]
         ground = evecs[:, order[0]]
-    if keep is not None:
-        full = np.zeros(mat.shape[0], dtype=ground.dtype)
-        full[keep] = ground
-        ground = full
-    ground = ground / np.linalg.norm(ground)
     resid = np.linalg.norm(mat @ ground - vals[0] * ground)
     if resid > 1e-9:
         raise RuntimeError(f"eigensolver residual {resid:.3e} exceeds 1e-9")
+    if keep is not None:
+        full = np.zeros(1 << n, dtype=ground.dtype)
+        full[keep] = ground
+        ground = full
     return ExactSpectrum(np.asarray(vals, dtype=float),
-                         StateVector.from_array(ground), sector)
+                         StateVector.from_array(ground / np.linalg.norm(ground)), sector)

@@ -241,11 +241,11 @@ def overlap_deficit(a: StateVector, b: StateVector) -> float:
     return float(min(1.0, max(0.0, val)))
 
 
-def orthogonalize_basis(basis: SubspaceBasis, drop_tol: float = 1e-10) -> SubspaceBasis:
+def orthogonalize_basis(basis: SubspaceBasis) -> SubspaceBasis:
     """Modified Gram-Schmidt (with re-orthogonalization) over cached states.
 
-    Vectors whose residual norm falls below drop_tol are removed; the span
-    is preserved.
+    Vectors whose residual norm falls below 1e-10 are removed; the span is
+    preserved.
     """
     kept_states: list[StateVector] = []
     kept_recipes: list[BasisRecipe] = []
@@ -255,7 +255,7 @@ def orthogonalize_basis(basis: SubspaceBasis, drop_tol: float = 1e-10) -> Subspa
             for q in kept_states:
                 v -= np.vdot(q.amplitudes, v) * q.amplitudes
         nrm = np.linalg.norm(v)
-        if nrm < drop_tol:
+        if nrm < 1e-10:
             continue
         kept_states.append(StateVector.from_array(v / nrm))
         kept_recipes.append(recipe)

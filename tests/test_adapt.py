@@ -19,7 +19,7 @@ from gcim.adapt import (
     vqe_minimize,
 )
 from gcim.pauli import PauliSum
-from gcim.statevector import apply_paulisum, exp_apply, expectation, hf_state
+from gcim.statevector import apply_paulisum, exp_apply, hf_state
 from gcim.subspace import (
     BasisRecipe,
     SubspaceBasis,
@@ -251,7 +251,7 @@ def test_one_shot_single_rotation_matches_two_by_two(toy):
     assert len(trace.basis) == 2
     recipe = BasisRecipe.from_steps(trace.records[-1].product_recipe)
     state = prepare_state(recipe, pool, ref)
-    e = expectation(state, h, state).real
+    e = state.inner(apply_paulisum(h, state)).real
     h22 = np.full((2, 2), e, dtype=complex)
     s22 = np.ones((2, 2), dtype=complex)
     oracle = solve_gevp(h22, s22, 1e-13).eigenvalues[0]
@@ -383,7 +383,7 @@ def test_ucc_translate_reference_target(toy):
     theta, deficit, energy = ucc_translate(h, pool, ref, recipe, ref)
     assert deficit == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(theta, 0.0)
-    assert energy == pytest.approx(expectation(ref, h, ref).real)
+    assert energy == pytest.approx(ref.inner(apply_paulisum(h, ref)).real)
 
 
 def test_ucc_translate_deficit_bounded_and_improving(toy):

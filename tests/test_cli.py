@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from gcim.cli import (
     load_config,
     main,
 )
-from gcim.pauli import pauli_sum_to_json
+from gcim.pauli import jw_to_matrix, parse_pauli_json, pauli_sum_to_json
+from gcim.shots import ShotConfig
 from gcim.statevector import exact_spectrum
 from gcim.subspace import build_matrices
 
@@ -377,11 +379,12 @@ def _cell(text: str):
 
 
 def _assert_same(got, want, where: str) -> None:
-    # ints and strings exactly, floats to rel 1e-9; abs 1e-13 absorbs the
-    # rounding-level errors (~1e-16) that another BLAS reports differently
+    # ints and strings exactly, floats to rel 1e-9; an error that is itself
+    # rounding (~1e-16, below 1e-13) may differ on another BLAS by its size
     if isinstance(want, float):
         assert isinstance(got, float), where
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-13), where
+        floor = 1e-13 if abs(want) < 1e-13 else 0.0
+        assert got == pytest.approx(want, rel=1e-9, abs=floor), where
     elif isinstance(want, dict):
         assert sorted(got) == sorted(want), where
         for key in want:
@@ -433,3 +436,58 @@ def test_resources_and_exact_match_golden(tmp_path):
     assert main(["resources", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert main(["exact", "--config", cfg, "--out", str(out)]) == EXIT_OK
     _assert_matches_golden(out, GOLDEN_DIR / "toy_gcim")
+
+
+def test_sector_breaking_h_is_judged_on_its_sector_block(tmp_path, data_dir):
+    # toy U/t = 8 plus 0.1 XIII + 0.3 IZXI: both terms change n_alpha, so the
+    # (1, 1) block is the toy's own, and the whole adapt-gcim subspace stays in it
+    ham = data_dir / "toy_u8_sector_breaking.json"
+    doc = _toy_doc(tmp_path, hamiltonian={"pauli_json": str(ham)}, n_alpha=1, n_beta=1)
+    cfg_path = _write_config(tmp_path, doc)
+    keep = [i for i in range(16)
+            if (i & 0b0101).bit_count() == 1 and (i & 0b1010).bit_count() == 1]
+    dense = jw_to_matrix(parse_pauli_json(ham.read_text()))
+    block_ground = np.linalg.eigvalsh(dense[np.ix_(keep, keep)])[0]
+    assert block_ground == pytest.approx(-0.4721359550, abs=1e-10)
+    assert np.linalg.eigvalsh(dense)[0] < block_ground - 0.5  # the full space is lower
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["oracle_sector"] == [1, 1]
+    assert abs(summary["exact_energy"] - block_ground) < 1e-12
+    assert abs(summary["energy_error"]) < 1e-10
+    assert main(["exact", "--config", str(cfg_path)]) == EXIT_OK
+    exact = json.loads((tmp_path / "out" / "exact.json").read_text())
+    assert exact["sector"] == [1, 1]
+    assert abs(exact["ground_energy"] - block_ground) < 1e-12
+
+
+@pytest.mark.parametrize("record", [{"pauli": 5}, {"pauli": "XXXX", "coeff_re": None}])
+def test_malformed_pauli_json_record_is_a_cli_error(tmp_path, capsys, record):
+    ham = tmp_path / "ham.json"
+    ham.write_text(json.dumps([record]))
+    doc = _toy_doc(tmp_path, hamiltonian={"pauli_json": str(ham)}, n_alpha=1, n_beta=1)
+    assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("gcim: error:") and "term record 0" in err
+
+
+def test_schema_defaults_match_code(tmp_path):
+    # each default is written in the schema and in the code; they must agree
+    props = _load_schema("config.schema.json")["properties"]
+    adapt, shots = AdaptConfig(), ShotConfig()
+    assert set(props["adapt"]["properties"]) == \
+        {f.name for f in dataclasses.fields(adapt)} - {"algorithm"}
+    for key, spec in props["adapt"]["properties"].items():
+        assert getattr(adapt, key) == spec["default"], key
+    assert set(props["shots"]["properties"]) == \
+        {f.name for f in dataclasses.fields(shots)} - {"seed"}
+    for key, spec in props["shots"]["properties"].items():
+        assert getattr(shots, key) == spec["default"], key
+    cfg = load_config(_write_config(tmp_path, {"hamiltonian": {"toy": {}}}))
+    for key, spec in props.items():
+        if "default" in spec:
+            value = getattr(cfg, key)
+            assert (str(value) if isinstance(value, Path) else value) == spec["default"], key
+    toy = props["hamiltonian"]["properties"]["toy"]["properties"]
+    assert build_system(cfg).source == \
+        f"toy(t={toy['t']['default']},u={toy['u']['default']})"

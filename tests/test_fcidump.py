@@ -177,3 +177,25 @@ def test_invariant_bounds():
         SpatialIntegrals(n_orb=0, n_elec=0, ms2=0)
     with pytest.raises(ValueError):
         SpatialIntegrals(n_orb=2, n_elec=5, ms2=0)
+
+
+def _header_error(norb: int, nelec: int, ms2: int, match: str) -> None:
+    with pytest.raises(ValueError, match=match):
+        SpatialIntegrals(n_orb=norb, n_elec=nelec, ms2=ms2)
+    with pytest.raises(FcidumpError, match=f"line 2: .*{match}"):
+        parse_fcidump(f"&FCI NORB={norb},NELEC={nelec},MS2={ms2},\n&END\n")
+
+
+def test_electron_count_and_ms2_share_parity():
+    # NELEC=3, MS2=0 would otherwise floor to one electron of each spin
+    _header_error(2, 3, 0, "parity")
+
+
+def test_ms2_bounded_by_electron_count():
+    # NELEC=2, MS2=4 would otherwise give n_beta = -1
+    _header_error(4, 2, 4, "exceeds n_elec")
+
+
+def test_spin_counts_bounded_by_orbital_count():
+    # three spin-up electrons do not fit in two spatial orbitals
+    _header_error(2, 3, 3, "exceed n_orb")

@@ -11,7 +11,7 @@ from gcim import (
     run_algorithm,
 )
 from gcim.pauli import jw_to_matrix
-from gcim.statevector import expectation
+from gcim.statevector import apply_paulisum
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def test_h4_reference_energy_flows_through_pipeline(h4):
     # mean-field energy stored implicitly in the canonical-orbital integrals:
     # it must sit above the exact ground energy by the correlation energy
     h, pool, ref = h4
-    e_hf = expectation(ref, h, ref).real
+    e_hf = ref.inner(apply_paulisum(h, ref)).real
     e0 = exact_spectrum(h, k=1).eigenvalues[0]
     assert e_hf > e0
     assert 0.01 < e_hf - e0 < 0.5  # a sane correlation energy in hartree

@@ -15,7 +15,6 @@ from gcim.pauli import (
     parse_pauli_json,
     pauli_mul,
     pauli_sum_to_json,
-    simplify,
 )
 
 from helpers import dense_from_label, dense_from_sum
@@ -71,16 +70,17 @@ def test_mul_length_mismatch():
         pauli_mul(PauliString.from_label("X"), PauliString.from_label("XX"))
 
 
+# simplification is the constructor's: it merges duplicates and drops small terms
 def test_simplify_cancellation():
     h = PauliSum.from_label_dict({"X": 1.0}) + PauliSum.from_label_dict({"X": -1.0})
-    assert len(simplify(h)) == 0
+    assert len(h) == 0
 
 
 def test_simplify_merges():
     x = PauliString.from_label("Z")
     h = PauliSum(1, {x: 2.0})
     g = PauliSum(1, {x: 3.0})
-    merged = simplify(h + g)
+    merged = h + g
     assert merged.terms[x] == 5.0
 
 
@@ -91,8 +91,8 @@ def test_simplify_idempotent(pairs):
         p = PauliString.from_label(label)
         terms[p] = terms.get(p, 0.0) + c
     h = PauliSum(4, terms)
-    once = simplify(h)
-    twice = simplify(once)
+    once = PauliSum(4, h.terms)
+    twice = PauliSum(4, once.terms)
     assert once.terms == twice.terms
 
 
@@ -189,3 +189,11 @@ def test_sum_algebra_against_dense():
                        dense_from_sum(a) @ dense_from_sum(b)
                        - dense_from_sum(b) @ dense_from_sum(a))
     assert a.is_hermitian()
+
+
+@pytest.mark.parametrize("record", [{"pauli": 5}, {"pauli": "XX", "coeff_re": None},
+                                    {"pauli": "XX", "coeff_im": "1"},
+                                    {"pauli": "XX", "coeff_re": True}])
+def test_parse_pauli_json_rejects_wrong_types(record):
+    with pytest.raises(PauliFormatError, match="term record 1"):
+        parse_pauli_json(json.dumps([{"pauli": "ZZ", "coeff_re": 1.0}, record]))

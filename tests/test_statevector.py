@@ -11,9 +11,7 @@ from gcim.statevector import (
     apply_paulisum,
     exact_spectrum,
     exp_apply,
-    expectation,
     hf_state,
-    overlap,
 )
 
 from helpers import dense_from_sum, random_hermitian_sum, random_state
@@ -29,11 +27,11 @@ def test_hf_state_occupation_expectation():
     ref = hf_state(4, 1, 1)
     n0 = FermionOperator()
     n0.add_term(1.0, (0,), (0,))
-    val = expectation(ref, jordan_wigner(n0, 4), ref)
+    val = ref.inner(apply_paulisum(jordan_wigner(n0, 4), ref))
     assert val == pytest.approx(1.0)
     n2 = FermionOperator()
     n2.add_term(1.0, (2,), (2,))
-    assert expectation(ref, jordan_wigner(n2, 4), ref) == pytest.approx(0.0)
+    assert ref.inner(apply_paulisum(jordan_wigner(n2, 4), ref)) == pytest.approx(0.0)
 
 
 def test_hf_state_overflow():
@@ -163,11 +161,11 @@ def test_exp_apply_rejects_non_anti_hermitian():
 def test_expectation_identity_and_z():
     rng = np.random.default_rng(3)
     v = random_state(rng, 3)
-    assert expectation(v, None, v) == pytest.approx(1.0)
-    assert expectation(v, PauliSum.identity(3), v) == pytest.approx(1.0)
+    assert v.inner(v) == pytest.approx(1.0)
+    assert v.inner(apply_paulisum(PauliSum.identity(3), v)) == pytest.approx(1.0)
     basis = StateVector.basis_state(3, 0b101)
     z0 = PauliSum.from_label_dict({"ZII": 1.0})
-    assert expectation(basis, z0, basis) == pytest.approx(-1.0)
+    assert basis.inner(apply_paulisum(z0, basis)) == pytest.approx(-1.0)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -177,13 +175,13 @@ def test_expectation_hermitian_real(seed):
     n = int(rng.integers(1, 6))
     h = random_hermitian_sum(rng, n, 6)
     v = random_state(rng, n)
-    assert abs(expectation(v, h, v).imag) < 1e-12
+    assert abs(v.inner(apply_paulisum(h, v)).imag) < 1e-12
 
 
 def test_overlap_conjugate_symmetry():
     rng = np.random.default_rng(4)
     a, b = random_state(rng, 3), random_state(rng, 3)
-    assert overlap(a, b) == pytest.approx(np.conj(overlap(b, a)))
+    assert a.inner(b) == pytest.approx(np.conj(b.inner(a)))
 
 
 def test_exact_spectrum_minus_z():
@@ -245,19 +243,26 @@ def test_exact_spectrum_reference_sector_toy_u8():
     assert np.linalg.norm(dense @ g - spec.eigenvalues[0] * g) < 1e-10
 
 
-def test_exact_spectrum_sector_fallback():
+def test_exact_spectrum_sector_rule():
     from gcim import toy_system
 
     h, _, ref = toy_system(1.0, 8.0)
     # a coupling far below rounding of the largest entry keeps the sector
     tiny = h + PauliSum.from_label_dict({"XIII": 1e-13})
     assert exact_spectrum(tiny, reference=ref).sector == (1, 1)
-    # a real particle-number-breaking term falls back to the full space
-    mixed = h + PauliSum.from_label_dict({"XIII": 0.1})
+    # a real particle-number-breaking coupling still gets the ground of the
+    # reference's (1, 1) block of the dense matrix, embedded in the register
+    mixed = h + PauliSum.from_label_dict({"XIII": 0.1, "IZXI": 0.3})
     spec = exact_spectrum(mixed, reference=ref)
-    assert spec.sector is None
-    assert spec.eigenvalues[0] == pytest.approx(
-        np.linalg.eigvalsh(jw_to_matrix(mixed))[0], abs=1e-12)
+    assert spec.sector == (1, 1)
+    keep = [i for i in range(16)
+            if (i & 0b0101).bit_count() == 1 and (i & 0b1010).bit_count() == 1]
+    w, v = np.linalg.eigh(jw_to_matrix(mixed)[np.ix_(keep, keep)])
+    assert spec.eigenvalues[0] == pytest.approx(w[0], abs=1e-12)
+    assert spec.eigenvalues[0] == pytest.approx(4.0 - 2.0 * np.sqrt(5.0), abs=1e-12)
+    amps = spec.ground_state.amplitudes
+    assert np.allclose(np.delete(amps, keep), 0.0, atol=0.0)
+    assert abs(np.vdot(v[:, 0], amps[keep])) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_exact_spectrum_rejects_non_hermitian():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcim.statevector import StateVector, expectation, hf_state
+from gcim.statevector import StateVector, apply_paulisum, hf_state
 from gcim.subspace import (
     HARTREE_TO_EV,
     BasisRecipe,
@@ -32,7 +32,7 @@ def test_build_matrices_reference_only(toy):
     basis = _toy_basis(toy, [BasisRecipe()])
     h_mat, s_mat = build_matrices(basis, h)
     assert h_mat.shape == (1, 1) and s_mat[0, 0] == pytest.approx(1.0)
-    assert h_mat[0, 0] == pytest.approx(expectation(ref, h, ref))
+    assert h_mat[0, 0] == pytest.approx(ref.inner(apply_paulisum(h, ref)))
 
 
 def test_build_matrices_duplicate_gives_singular_overlap(toy):
@@ -260,8 +260,8 @@ def test_reconstruct_ground_matches_eigenvalue(toy):
     h_mat, s_mat = build_matrices(basis, h)
     res = solve_gevp(h_mat, s_mat, 1e-13)
     psi = reconstruct_state(res, basis, 0)
-    assert expectation(psi, h, psi).real == pytest.approx(res.eigenvalues[0],
-                                                          abs=1e-9)
+    assert psi.inner(apply_paulisum(h, psi)).real == pytest.approx(res.eigenvalues[0],
+                                                                   abs=1e-9)
     with pytest.raises(IndexError):
         reconstruct_state(res, basis, res.kept_dim)
 
