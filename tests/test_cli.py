@@ -369,7 +369,7 @@ def test_run_oracle_uses_reference_sector(tmp_path):
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 
-def _cell(text: str):
+def _parse_cell(text: str):
     for kind in (int, float):
         try:
             return kind(text)
@@ -397,27 +397,26 @@ def _assert_same(got, want, where: str) -> None:
         assert type(got) is type(want) and got == want, where
 
 
+def _parse_artifact(suffix: str, text: str):
+    if suffix == ".csv":
+        return [[_parse_cell(c) for c in row] for row in csv.reader(text.splitlines())]
+    if suffix == ".jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    doc = json.loads(text)
+    # exact.json: the ground vector's global sign and the order of
+    # equal-weight amplitudes are the eigensolver's choice, not the format's
+    amps = sorted(doc["ground_state_top_amplitudes"], key=lambda a: a["index"])
+    sign = 1.0 if amps[0]["re"] >= 0 else -1.0
+    doc["ground_state_top_amplitudes"] = [
+        {**a, "re": sign * a["re"], "im": sign * a["im"]} for a in amps]
+    return doc
+
+
 def _assert_matches_golden(out: Path, golden: Path) -> None:
     for want_path in sorted(golden.rglob("*.*")):
         name = str(want_path.relative_to(golden))
-        got_text, want_text = (out / name).read_text(), want_path.read_text()
-        if want_path.suffix == ".csv":
-            got = [[_cell(c) for c in row] for row in csv.reader(got_text.splitlines())]
-            want = [[_cell(c) for c in row] for row in csv.reader(want_text.splitlines())]
-        elif want_path.suffix == ".jsonl":
-            got = [json.loads(line) for line in got_text.splitlines()]
-            want = [json.loads(line) for line in want_text.splitlines()]
-        else:
-            got, want = json.loads(got_text), json.loads(want_text)
-            # the ground vector's global sign and the order of equal-weight
-            # amplitudes are the eigensolver's choice, not the format's
-            for doc in (got, want):
-                amps = sorted(doc["ground_state_top_amplitudes"],
-                              key=lambda a: a["index"])
-                sign = 1.0 if amps[0]["re"] >= 0 else -1.0
-                doc["ground_state_top_amplitudes"] = [
-                    {**a, "re": sign * a["re"], "im": sign * a["im"]} for a in amps]
-        _assert_same(got, want, name)
+        _assert_same(_parse_artifact(want_path.suffix, (out / name).read_text()),
+                     _parse_artifact(want_path.suffix, want_path.read_text()), name)
 
 
 def test_compare_artifacts_match_golden(tmp_path):
