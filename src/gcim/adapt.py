@@ -36,6 +36,7 @@ from .subspace import (
     GevpResult,
     SubspaceBasis,
     build_matrices,
+    combine,
     overlap_deficit,
     prepare_state,
     reconstruct_state,
@@ -274,10 +275,6 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
     result: GevpResult | None = None
 
     for k in range(1, config.max_iterations + 1):
-        if len(selected) == len(pool):
-            trace.converged = True
-            trace.reason = "pool_exhausted"
-            break
         tick = time.perf_counter()
         sel, grads = select_operator(surrogate, h, pool, selected)
         trace.time_gradients += time.perf_counter() - tick
@@ -381,7 +378,7 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
         eps0 = kept = eigenvalues = None
         if each_iteration:
             basis.append(BasisRecipe((recipe.steps[-1],)))
-            basis.append(recipe, dedupe=False, state=state)
+            basis.append(recipe, state=state)
             result = solve_gevp(*build_matrices(basis, h), config.s_threshold)
             eps0 = result.ground_energy
             kept = result.kept_dim
@@ -407,8 +404,8 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
     trace.final_state = state
     if config.algorithm == ADAPT_VQE_GCIM_1 and len(recipe) > 0:
         for step in recipe.steps:
-            basis.append(BasisRecipe((step,)), dedupe=False)
-        basis.append(recipe, dedupe=False, state=state)
+            basis.append(BasisRecipe((step,)))
+        basis.append(recipe, state=state)
         tick = time.perf_counter()
         result = solve_gevp(*build_matrices(basis, h), config.s_threshold)
         trace.time_energy += time.perf_counter() - tick
@@ -430,52 +427,34 @@ def run_algorithm(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue gradient (quotient rule over the projected pair)
+# eigenvalue gradient (first-order perturbation of the Ritz vector)
 
 
 def gcim_energy_gradient(h: PauliSum, pool: list[PoolOperator], basis: SubspaceBasis,
                          result: GevpResult, s: int, which: int = 0) -> float:
     """d eps_k / d theta_s for the rotation generated by pool operator s.
 
-    The derivative matrices follow the sparse case table: entries change only
-    in rows/columns of basis states whose recipe contains operator s, states
-    are varied by applying the generator outermost, and the diagonal
-    (both-sides) case uses the commutator form with zero overlap derivative.
-    The eigenvector is renormalized to f† f = 1; the quotient is scale
-    invariant, so this only fixes the convention.
+    States whose recipe contains operator s vary by the generator applied
+    outermost, d|psi_j> = A_s|psi_j>, at fixed eigenvector f.  With the Ritz
+    vector g = sum_j f_j |psi_j>, its Rayleigh quotient eps and
+    d = A_s sum_{j varied} f_j |psi_j>: d eps = 2 Re(<d|Hg> - eps <d|g>) / <g|g>,
+    Hg summed from the cached H|psi_j>.  (Where both sides vary, the overlap
+    derivative <psi_i|(A + A†)|psi_j> is 0: A is anti-Hermitian.)
     """
-    m = len(basis)
     if not 0 <= which < result.kept_dim:
         raise IndexError("eigenvalue index out of range")
-    has_s = [s in r.pool_indices() for r in basis.recipes]
-    if not any(has_s):
+    varied = [j for j, r in enumerate(basis.recipes) if s in r.pool_indices()]
+    if not varied:
         return 0.0
-    a_op = pool[s].qubit
+    build_matrices(basis, h)  # caches H|psi_j> in basis.pair
     f = result.eigenvectors[:, which]
-    f = f / np.linalg.norm(f)
-
-    h_mat, s_mat = build_matrices(basis, h)
-    h_kets = basis.pair.h_kets
-    a_kets = {i: apply_paulisum(a_op, basis.states[i])
-              for i in range(m) if has_s[i]}
-
-    dh = np.zeros((m, m), dtype=complex)
-    ds = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            if has_s[i] and has_s[j]:
-                dh[i, j] = h_kets[i].inner(a_kets[j]) + a_kets[i].inner(h_kets[j])
-            elif has_s[i]:
-                dh[i, j] = a_kets[i].inner(h_kets[j])
-                ds[i, j] = a_kets[i].inner(basis.states[j])
-            elif has_s[j]:
-                dh[i, j] = h_kets[i].inner(a_kets[j])
-                ds[i, j] = basis.states[i].inner(a_kets[j])
-
-    mean = lambda mat: complex(f.conj() @ mat @ f)
-    s_mean = mean(s_mat)
-    grad = (mean(dh) * s_mean - mean(h_mat) * mean(ds)) / s_mean ** 2
-    return float(grad.real)
+    g = combine(f, basis.states)
+    hg = combine(f, basis.pair.h_kets)
+    d = apply_paulisum(pool[s].qubit,
+                       combine(f[varied], [basis.states[j] for j in varied]))
+    gg = g.inner(g).real
+    eps = g.inner(hg).real / gg
+    return float(2.0 * (d.inner(hg) - eps * d.inner(g)).real / gg)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .subspace import (
     build_matrices,
     excitation_energies,
 )
-from .toy import toy_system
+from .toy import toy_integrals
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -124,20 +124,9 @@ class System:
 
 
 def build_system(cfg: RunConfig) -> System:
-    """Materialize Hamiltonian, operator pool and reference determinant."""
+    """Materialize Hamiltonian, operator pool and reference determinant;
+    n_alpha/n_beta override the occupation of FCIDUMP and toy integrals."""
     src = cfg.hamiltonian
-    if "fcidump" in src:
-        path = Path(src["fcidump"])
-        if not path.exists():
-            raise FileNotFoundError(f"FCIDUMP file not found: {path}")
-        ints = parse_fcidump(path.read_text())
-        n_qubits = 2 * ints.n_orb
-        h = jordan_wigner(assemble_hamiltonian(ints), n_qubits)
-        pool = build_pool(ints.n_orb)
-        n_alpha = cfg.n_alpha if cfg.n_alpha is not None else ints.n_alpha
-        n_beta = cfg.n_beta if cfg.n_beta is not None else ints.n_beta
-        ref = hf_state(n_qubits, n_alpha, n_beta)
-        return System(h, pool, ref, n_qubits, f"fcidump:{path}")
     if "pauli_json" in src:
         path = Path(src["pauli_json"])
         if not path.exists():
@@ -152,10 +141,22 @@ def build_system(cfg: RunConfig) -> System:
         pool = build_pool(n_qubits // 2)
         ref = hf_state(n_qubits, cfg.n_alpha, cfg.n_beta)
         return System(h, pool, ref, n_qubits, f"pauli_json:{path}")
-    toy = src.get("toy", {})
-    h, pool, ref = toy_system(float(toy.get("t", 1.0)), float(toy.get("u", 2.0)))
-    return System(h, pool, ref, h.n_qubits,
-                  f"toy(t={toy.get('t', 1.0)},u={toy.get('u', 2.0)})")
+    if "fcidump" in src:
+        path = Path(src["fcidump"])
+        if not path.exists():
+            raise FileNotFoundError(f"FCIDUMP file not found: {path}")
+        ints = parse_fcidump(path.read_text())
+        source = f"fcidump:{path}"
+    else:
+        toy = src.get("toy", {})
+        ints = toy_integrals(float(toy.get("t", 1.0)), float(toy.get("u", 2.0)))
+        source = f"toy(t={toy.get('t', 1.0)},u={toy.get('u', 2.0)})"
+    n_qubits = 2 * ints.n_orb
+    h = jordan_wigner(assemble_hamiltonian(ints), n_qubits)
+    n_alpha = cfg.n_alpha if cfg.n_alpha is not None else ints.n_alpha
+    n_beta = cfg.n_beta if cfg.n_beta is not None else ints.n_beta
+    return System(h, build_pool(ints.n_orb), hf_state(n_qubits, n_alpha, n_beta),
+                  n_qubits, source)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -259,11 +260,11 @@ def _matrices_jsonl(trace: AdaptTrace, h: PauliSum) -> str:
     return "".join(lines)
 
 
-def _exact_reference(system: System) -> ExactSpectrum | None:
-    """Ground pair of the reference's sector, or None when the register
-    exceeds the oracle's size limit."""
+def _exact_reference(cfg: RunConfig, system: System) -> ExactSpectrum | None:
+    """cmd_exact's solve: exact_k pairs of the reference's sector, or None
+    when the register exceeds the oracle's size limit."""
     try:
-        return exact_spectrum(system.h, reference=system.reference)
+        return exact_spectrum(system.h, k=cfg.exact_k, reference=system.reference)
     except ResourceLimitError:
         return None
 
@@ -289,7 +290,7 @@ def _run_algorithms(cfg: RunConfig) -> tuple[System, dict[str, AdaptTrace], int]
     algorithm, writing its artifacts to out_dir (one algorithm) or
     out_dir/<algorithm> (several).  Returns the exit status with the rest."""
     system = build_system(cfg)
-    spectrum = _exact_reference(system)
+    spectrum = _exact_reference(cfg, system)
     single = len(cfg.algorithms) == 1
     traces = {alg: _execute(cfg, alg, system,
                             cfg.out_dir if single else cfg.out_dir / alg, spectrum)
@@ -373,7 +374,7 @@ def cmd_resources(cfg: RunConfig, trace_path: str | Path | None = None) -> int:
     if not path.exists():
         raise FileNotFoundError(f"trace file not found: {path}")
     system = build_system(cfg)
-    spectrum = _exact_reference(system)
+    spectrum = _exact_reference(cfg, system)
     exact = float(spectrum.eigenvalues[0]) if spectrum is not None else None
     rows = []
     for n, line in enumerate(path.read_text().splitlines(), start=1):

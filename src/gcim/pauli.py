@@ -238,7 +238,11 @@ def parse_pauli_json(text: str) -> PauliSum:
             raise PauliFormatError(
                 f"Pauli string length {len(label)} != {n} in {label!r}"
             )
-        coeff = complex(float(rec.get("coeff_re", 0.0)), float(rec.get("coeff_im", 0.0)))
+        try:
+            coeff = complex(float(rec.get("coeff_re", 0.0)), float(rec.get("coeff_im", 0.0)))
+        except OverflowError as exc:
+            raise PauliFormatError(
+                f"coefficient of term record {k} ({label}) overflows a float") from exc
         p = PauliString.from_label(label)
         out[p] = out.get(p, 0.0) + coeff
     return PauliSum(n, out)

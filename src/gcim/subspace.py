@@ -95,20 +95,16 @@ class SubspaceBasis:
     def __len__(self) -> int:
         return len(self.recipes)
 
-    def append(self, recipe: BasisRecipe, dedupe: bool = True,
-               state: StateVector | None = None) -> bool:
-        """Add one generating function; returns False on a duplicate recipe.
+    def append(self, recipe: BasisRecipe, state: StateVector | None = None) -> None:
+        """Add one generating function.
 
         A caller that already holds the recipe's prepared state passes it as
         state, and it is stored instead of being rebuilt from the reference.
         """
-        if dedupe and recipe in set(self.recipes):
-            return False
         self.recipes.append(recipe)
         if state is None:
             state = prepare_state(recipe, self.pool, self.reference)
         self.states.append(state)
-        return True
 
     def regenerate(self) -> None:
         self.states = [prepare_state(r, self.pool, self.reference) for r in self.recipes]
@@ -226,10 +222,15 @@ def reconstruct_state(result: GevpResult, basis: SubspaceBasis,
     """Normalized eigenstate sum_j f_j |psi_j> for eigenvalue index `which`."""
     if not 0 <= which < result.kept_dim:
         raise IndexError(f"eigenvalue index {which} outside kept range {result.kept_dim}")
-    amps = np.zeros_like(basis.states[0].amplitudes)
-    for f_j, psi in zip(result.eigenvectors[:, which], basis.states):
-        amps = amps + f_j * psi.amplitudes
-    return StateVector.from_array(amps).normalized()
+    return combine(result.eigenvectors[:, which], basis.states).normalized()
+
+
+def combine(coeffs, vectors: list[StateVector]) -> StateVector:
+    """sum_j c_j |v_j>, accumulated in list order."""
+    amps = np.zeros_like(vectors[0].amplitudes)
+    for c, v in zip(coeffs, vectors):
+        amps = amps + c * v.amplitudes
+    return StateVector.from_array(amps)
 
 
 def overlap_deficit(a: StateVector, b: StateVector) -> float:

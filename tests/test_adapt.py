@@ -368,6 +368,48 @@ def test_gcim_energy_gradient_matches_finite_difference():
     assert seen_nonzero >= 4  # the comparison is not vacuous
 
 
+def _quotient_rule_gradient(h, pool, basis, result, s, which=0):
+    """d eps / d theta_s from m x m derivative matrices of explicit inner
+    products: d|psi_j> = A_s|psi_j> for the states whose recipe holds s."""
+    states = basis.states
+    h_kets = [apply_paulisum(h, st) for st in states]
+    d_kets = [apply_paulisum(pool[s].qubit, st) if s in r.pool_indices() else None
+              for r, st in zip(basis.recipes, states)]
+    inner = lambda a, b: 0.0 if a is None or b is None else a.inner(b)
+    m = len(states)
+    hm = np.array([[states[i].inner(h_kets[j]) for j in range(m)] for i in range(m)])
+    sm = np.array([[states[i].inner(states[j]) for j in range(m)] for i in range(m)])
+    dh = np.array([[inner(d_kets[i], h_kets[j]) + inner(h_kets[i], d_kets[j])
+                    for j in range(m)] for i in range(m)])
+    ds = np.array([[inner(d_kets[i], states[j]) + inner(states[i], d_kets[j])
+                    for j in range(m)] for i in range(m)])
+    f = result.eigenvectors[:, which]
+    mean = lambda mat: complex(f.conj() @ mat @ f)
+    return ((mean(dh) * mean(sm) - mean(hm) * mean(ds)) / mean(sm) ** 2).real
+
+
+def test_gcim_energy_gradient_matches_quotient_rule(h4):
+    h, pool, ref = h4
+    rng = np.random.default_rng(61)
+    seen_nonzero = 0
+    for _ in range(5):
+        basis, idxs = _canonical_gradient_subspace(rng, pool, ref, n_rot=4)
+        res = solve_gevp(*build_matrices(basis, h), 1e-13)
+        for s in idxs:
+            grad = gcim_energy_gradient(h, pool, basis, res, int(s))
+            want = _quotient_rule_gradient(h, pool, basis, res, int(s))
+            assert abs(grad - want) <= 1e-10 * max(1.0, abs(want))
+            seen_nonzero += abs(want) > 1e-3
+    assert seen_nonzero >= 5  # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("algorithm", [ADAPT_GCIM, ADAPT_GCIM_MN])
+def test_gcim_family_rejects_an_empty_pool(toy, algorithm):
+    h, _, ref = toy
+    with pytest.raises(ValueError, match="empty candidate"):
+        run_algorithm(h, [], ref, AdaptConfig(algorithm=algorithm))
+
+
 def test_uccsd_recipe_contents(toy):
     h, pool, ref = toy
     recipe = uccsd_recipe(pool, n_occ_spatial=1)

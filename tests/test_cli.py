@@ -470,6 +470,38 @@ def test_malformed_pauli_json_record_is_a_cli_error(tmp_path, capsys, record):
     assert err.startswith("gcim: error:") and "term record 0" in err
 
 
+def test_pauli_json_coefficient_overflow_is_a_cli_error(tmp_path, capsys):
+    ham = tmp_path / "ham.json"
+    ham.write_text('[{"pauli": "XXXX", "coeff_re": 1' + "0" * 400 + "}]")
+    doc = _toy_doc(tmp_path, hamiltonian={"pauli_json": str(ham)}, n_alpha=1, n_beta=1)
+    assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("gcim: error:") and "term record 0" in err
+
+
+def test_toy_occupation_overrides(tmp_path):
+    doc = _toy_doc(tmp_path, n_alpha=2, n_beta=0)
+    assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["oracle_sector"] == [2, 0]
+
+
+@pytest.mark.parametrize("source", ["toy_gcim", "sector_breaking"])
+def test_run_and_exact_report_the_same_ground_energy(tmp_path, data_dir, source):
+    if source == "toy_gcim":
+        cfg_path = CONFIG_DIR / "toy_gcim.json"
+    else:
+        ham = data_dir / "toy_u8_sector_breaking.json"
+        cfg_path = _write_config(tmp_path, _toy_doc(
+            tmp_path, hamiltonian={"pauli_json": str(ham)}, n_alpha=1, n_beta=1))
+    out = str(tmp_path / "both")
+    assert main(["run", "--config", str(cfg_path), "--out", out]) == EXIT_OK
+    assert main(["exact", "--config", str(cfg_path), "--out", out]) == EXIT_OK
+    summary = json.loads((tmp_path / "both" / "summary.json").read_text())
+    exact = json.loads((tmp_path / "both" / "exact.json").read_text())
+    assert summary["exact_energy"] == exact["ground_energy"]
+
+
 def test_schema_defaults_match_code(tmp_path):
     # each default is written in the schema and in the code; they must agree
     props = _load_schema("config.schema.json")["properties"]

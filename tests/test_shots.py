@@ -205,7 +205,7 @@ def test_noisy_gevp_with_duplicates_does_not_fail(toy):
     h, pool, ref = toy
     basis = SubspaceBasis(reference=ref, pool=pool)
     basis.append(BasisRecipe())
-    basis.append(BasisRecipe(), dedupe=False)  # exact duplicate
+    basis.append(BasisRecipe())  # exact duplicate
     basis.append(BasisRecipe(((0, 0.7),)))
     h_mat, s_mat = build_matrices(basis, h)
     cfg = ShotConfig(tau=1e6, mode="gaussian", seed=11)

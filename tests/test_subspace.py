@@ -23,7 +23,7 @@ def _toy_basis(toy, recipes):
     h, pool, ref = toy
     basis = SubspaceBasis(reference=ref, pool=pool)
     for r in recipes:
-        basis.append(r, dedupe=False)
+        basis.append(r)
     return basis
 
 
@@ -225,7 +225,7 @@ def test_truncation_vs_orthogonalized_full_solve(toy):
 def test_orthogonalize_keeps_orthonormal_basis(toy):
     h, pool, ref = toy
     basis = _toy_basis(toy, [BasisRecipe()])
-    basis.append(BasisRecipe(((0, np.pi / 2),)), dedupe=False)
+    basis.append(BasisRecipe(((0, np.pi / 2),)))
     ortho = orthogonalize_basis(basis)
     assert len(ortho) == 2
     _, s_mat = build_matrices(ortho, h)
@@ -326,13 +326,7 @@ def test_real_arithmetic_matrices(h4):
 
 
 def test_recipe_hashing_and_dedup(toy):
-    h, pool, ref = toy
-    basis = SubspaceBasis(reference=ref, pool=pool)
     r = BasisRecipe(((0, 0.5),))
-    assert basis.append(r)
-    assert not basis.append(r)
-    assert basis.append(r, dedupe=False)
-    assert len(basis) == 2
     assert len({r, BasisRecipe(((0, 0.5),))}) == 1
 
 
