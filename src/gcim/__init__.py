@@ -1,5 +1,13 @@
 """Exact-simulation workbench for the ADAPT-GCIM family of eigensolvers."""
 
+import os
+
+# The dense solves here are small, and several BLAS threads on them cost more
+# than they save.  Set before numpy is first imported; a user's own setting
+# wins, and a process that imported numpy before gcim keeps its thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .adapt import (
     ADAPT_GCIM,
     ADAPT_GCIM_MN,

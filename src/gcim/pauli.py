@@ -97,8 +97,8 @@ class PauliSum:
     Duplicate strings merge on construction, and terms with |coefficient|
     < COEFF_CUTOFF are dropped.
     Instances are treated as immutable once built; all algebra returns
-    new objects.  That is what lets statevector cache its compiled matrix
-    form in the ``_compiled`` slot on first use.
+    new objects.  That is what lets statevector cache its compiled forms,
+    one per state space, in the ``_compiled`` slot on first use.
     """
 
     __slots__ = ("n_qubits", "terms", "_compiled")

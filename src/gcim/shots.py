@@ -190,7 +190,8 @@ class MatrixEstimators:
 
     @classmethod
     def build(cls, basis: SubspaceBasis, h: PauliSum) -> "MatrixEstimators":
-        """Decompose every upper-triangle entry from the stacked basis states."""
+        """Decompose every upper-triangle entry from the stacked basis states,
+        embedded into the full register, where the Pauli strings act."""
         if not basis.states:
             raise ValueError("empty basis")
         amps = np.array([state.amplitudes for state in basis.states])

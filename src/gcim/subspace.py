@@ -227,10 +227,10 @@ def reconstruct_state(result: GevpResult, basis: SubspaceBasis,
 
 def combine(coeffs, vectors: list[StateVector]) -> StateVector:
     """sum_j c_j |v_j>, accumulated in list order."""
-    amps = np.zeros_like(vectors[0].amplitudes)
+    data = np.zeros_like(vectors[0].data)
     for c, v in zip(coeffs, vectors):
-        amps = amps + c * v.amplitudes
-    return StateVector.from_array(amps)
+        data = data + c * v.data
+    return StateVector(vectors[0].space, data)
 
 
 def overlap_deficit(a: StateVector, b: StateVector) -> float:
@@ -251,14 +251,14 @@ def orthogonalize_basis(basis: SubspaceBasis) -> SubspaceBasis:
     kept_states: list[StateVector] = []
     kept_recipes: list[BasisRecipe] = []
     for recipe, psi in zip(basis.recipes, basis.states):
-        v = psi.amplitudes.copy()
+        v = psi.data.copy()
         for _ in range(2):
             for q in kept_states:
-                v -= np.vdot(q.amplitudes, v) * q.amplitudes
+                v -= np.vdot(q.data, v) * q.data
         nrm = np.linalg.norm(v)
         if nrm < 1e-10:
             continue
-        kept_states.append(StateVector.from_array(v / nrm))
+        kept_states.append(StateVector(psi.space, v / nrm))
         kept_recipes.append(recipe)
     return SubspaceBasis(reference=basis.reference, pool=basis.pool,
                          recipes=kept_recipes, states=kept_states)

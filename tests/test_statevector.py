@@ -142,10 +142,10 @@ def test_real_operators_keep_real_states_real(h4):
 
 
 def test_compiled_hamiltonian_matches_dense_oracle(h4):
-    from gcim.statevector import _compiled
+    from gcim.statevector import _compiled, full_space
 
     h, _, _ = h4
-    mat = _compiled(h).matrix
+    mat = _compiled(h, full_space(h.n_qubits)).matrix
     assert mat.dtype == np.float64
     assert np.max(np.abs(mat.toarray() - jw_to_matrix(h))) < 1e-12
 
@@ -288,3 +288,80 @@ def test_top_amplitudes_dump():
     v = hf_state(4, 1, 1)
     top = v.top_amplitudes()
     assert top[0]["index"] == 3 and top[0]["re"] == pytest.approx(1.0)
+
+
+def _sector_state(rng, ref):
+    data = rng.normal(size=ref.space.dim) + 1j * rng.normal(size=ref.space.dim)
+    return StateVector(ref.space, data / np.linalg.norm(data))
+
+
+def test_hf_state_lives_on_its_sector():
+    ref = hf_state(6, 2, 1)
+    assert ref.space.sector == (2, 1)
+    assert list(ref.space.indices) == _sector_indices_dense(6, 2, 1)
+    assert ref.data.shape == (ref.space.dim,)
+    assert ref.inner(ref) == pytest.approx(1.0)
+
+
+def test_sector_apply_is_the_sector_block_of_a_sector_breaking_h(data_dir):
+    from gcim.pauli import parse_pauli_json
+
+    h = parse_pauli_json((data_dir / "toy_u8_sector_breaking.json").read_text())
+    ref = hf_state(4, 1, 1)
+    v = _sector_state(np.random.default_rng(11), ref)
+    keep = _sector_indices_dense(4, 1, 1)
+    block = jw_to_matrix(h)[np.ix_(keep, keep)]
+    out = apply_paulisum(h, v)
+    assert out.space is ref.space
+    assert np.max(np.abs(out.data - block @ v.data)) < 1e-12
+    assert np.all(np.delete(out.amplitudes, keep) == 0)
+
+
+def test_exp_apply_rejects_a_generator_that_leaves_the_sector():
+    op = FermionOperator()
+    op.add_term(1.0, (0,), ())  # a+_0 changes the particle number
+    gen = jordan_wigner(op.minus_hc(), 4)
+    ref = hf_state(4, 0, 1)
+    with pytest.raises(ValueError, match="leaves the state's space"):
+        exp_apply(gen, 0.3, ref)
+    # on the full register the same generator is an ordinary rotation
+    full = StateVector.from_array(ref.amplitudes)
+    assert exp_apply(gen, 0.3, full).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_h4_operators_compile_to_the_sector_dimension(h4):
+    from gcim.statevector import _compiled
+
+    h, pool, ref = h4
+    assert ref.space.sector == (2, 2) and ref.data.shape == (36,)
+    assert _compiled(h, ref.space).matrix.shape == (36, 36)
+    for op in pool:
+        assert _compiled(op.qubit, ref.space).matrix.shape == (36, 36)
+    state = exp_apply(pool[-1].qubit, 0.3, apply_paulisum(h, ref))
+    assert state.data.shape == (36,)
+
+
+def test_pool_chain_stays_exactly_in_the_sector(h4):
+    # compiled over all 2^8 indices, 15 of H4's 66 generators carry rounding
+    # residues (up to 2.8e-17) from their (2, 2) sector into others; chained
+    # rotations must leave exactly nothing outside the sector
+    _, pool, ref = h4
+    keep = _sector_indices_dense(8, 2, 2)
+    psi = ref.amplitudes[keep]
+    state = ref
+    for k, op in enumerate(pool):
+        theta = 0.05 * (k + 1) - 1.5
+        state = exp_apply(op.qubit, theta, state)
+        block = jw_to_matrix(op.qubit)[np.ix_(keep, keep)]
+        psi = scipy.linalg.expm(theta * block) @ psi
+    amps = state.amplitudes
+    assert np.all(np.delete(amps, keep) == 0)
+    assert np.max(np.abs(amps[keep] - psi)) < 1e-12
+
+
+def test_exact_spectrum_caps_the_dimension_not_the_register():
+    # 18 qubits, but the (1, 1) sector holds 81 determinants
+    ref = hf_state(18, 1, 1)
+    spec = exact_spectrum(PauliSum.identity(18, 0.5), k=2, reference=ref)
+    assert spec.sector == (1, 1) and np.allclose(spec.eigenvalues, 0.5)
+    assert spec.ground_state.space is ref.space
