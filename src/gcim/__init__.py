@@ -21,8 +21,6 @@ from .adapt import (
     pool_gradients,
     run_algorithm,
     select_operator,
-    ucc_translate,
-    uccsd_recipe,
     vqe_minimize,
 )
 from .fcidump import SpatialIntegrals, assemble_hamiltonian, dumps_fcidump, parse_fcidump
@@ -35,7 +33,7 @@ from .pauli import (
     pauli_mul,
     pauli_sum_to_json,
 )
-from .pool import PoolOperator, build_pool, pool_gradient_operator, pool_to_json
+from .pool import PoolOperator, build_pool, pool_to_json
 from .resources import ansatz_cnot_total, cnot_count, measurement_estimate
 from .shots import (
     EntryEstimator,
@@ -46,7 +44,6 @@ from .shots import (
     hf_filter,
     mc_experiment,
     mc_sweep,
-    perturb_matrices,
     sample_entry,
 )
 from .statevector import (

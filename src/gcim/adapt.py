@@ -187,49 +187,30 @@ def _first_largest(mags: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# product-ansatz energy, overlap and their analytic derivatives
-
-
-def _forward_states(ops: list[PoolOperator], thetas: np.ndarray,
-                    reference: StateVector) -> list[StateVector]:
-    states = [reference]
-    for op, th in zip(ops, thetas):
-        states.append(exp_apply(op.qubit, float(th), states[-1]))
-    return states
-
-
-def _reverse_sweep(bra: StateVector, ops: list[PoolOperator], thetas: np.ndarray,
-                   states: list[StateVector]) -> np.ndarray:
-    """<bra| G_last ... G_{s+1} A_s |psi_{s+1}> for every s (reverse mode).
-
-    states are _forward_states' output; bra is pulled back through one
-    rotation per step instead of re-preparing each partial product.
-    """
-    vals = np.zeros(len(ops), dtype=complex)
-    b = bra
-    for s in reversed(range(len(ops))):
-        vals[s] = b.inner(apply_paulisum(ops[s].qubit, states[s + 1]))
-        if s:
-            b = exp_apply(ops[s].qubit, -float(thetas[s]), b)
-    return vals
+# product-ansatz energy and its analytic gradient
 
 
 def ansatz_energy_gradient(h: PauliSum, ops: list[PoolOperator], thetas: np.ndarray,
                            reference: StateVector) -> tuple[float, np.ndarray]:
-    """E(theta) = <ref|prod G† H prod G|ref> and dE/dtheta (reverse mode)."""
-    states = _forward_states(ops, thetas, reference)
+    """E(theta) = <ref|prod G† H prod G|ref> and dE/dtheta (reverse mode).
+
+    With psi_s the state after the first s rotations and w = H psi, dE/dtheta_s
+    is 2 Re <w| G_last ... G_{s+1} A_s |psi_{s+1}>; w is pulled back through
+    one rotation per step instead of re-preparing each partial product.
+    """
+    states = [reference]
+    for op, th in zip(ops, thetas):
+        states.append(exp_apply(op.qubit, float(th), states[-1]))
     psi = states[-1]
     w = apply_paulisum(h, psi)
     energy = psi.inner(w).real
-    return float(energy), 2.0 * _reverse_sweep(w, ops, thetas, states).real
-
-
-def ansatz_overlap_gradient(target: StateVector, ops: list[PoolOperator],
-                            thetas: np.ndarray, reference: StateVector
-                            ) -> tuple[complex, np.ndarray]:
-    """<target|psi(theta)> and its complex derivative per parameter."""
-    states = _forward_states(ops, thetas, reference)
-    return target.inner(states[-1]), _reverse_sweep(target, ops, thetas, states)
+    vals = np.zeros(len(ops), dtype=complex)
+    b = w
+    for s in reversed(range(len(ops))):
+        vals[s] = b.inner(apply_paulisum(ops[s].qubit, states[s + 1]))
+        if s:
+            b = exp_apply(ops[s].qubit, -float(thetas[s]), b)
+    return float(energy), 2.0 * vals.real
 
 
 def vqe_minimize(h: PauliSum, pool: list[PoolOperator], recipe: BasisRecipe,
@@ -455,62 +436,3 @@ def gcim_energy_gradient(h: PauliSum, pool: list[PoolOperator], basis: SubspaceB
     gg = g.inner(g).real
     eps = g.inner(hg).real / gg
     return float(2.0 * (d.inner(hg) - eps * d.inner(g)).real / gg)
-
-
-# ---------------------------------------------------------------------------
-# UCC translation of a target state
-
-
-def uccsd_recipe(pool: list[PoolOperator], n_occ_spatial: int,
-                 theta: float = 0.0) -> BasisRecipe:
-    """Recipe over the occupied-to-virtual subset of the pool (UCCSD ansatz).
-
-    Skew generators carry both excitation directions, so a double qualifies
-    when one spatial pair sits entirely in the occupied block and the other
-    entirely in the virtual block (likewise for singles).
-    """
-    occ = lambda g: g < n_occ_spatial
-    steps = []
-    for i, op in enumerate(pool):
-        if op.kind == "single":
-            p, q = op.spatial
-            if occ(p) != occ(q):
-                steps.append((i, theta))
-        else:
-            p, q, r, s = op.spatial
-            cre_block = {occ(p), occ(q)}
-            ann_block = {occ(r), occ(s)}
-            if len(cre_block) == 1 and len(ann_block) == 1 and cre_block != ann_block:
-                steps.append((i, theta))
-    return BasisRecipe(tuple(steps))
-
-
-def ucc_translate(h: PauliSum, pool: list[PoolOperator], target: StateVector,
-                  recipe: BasisRecipe, reference: StateVector,
-                  theta0: np.ndarray | None = None, budget: int = 500
-                  ) -> tuple[np.ndarray, float, float]:
-    """Fit a fixed product ansatz to a target state by overlap maximization.
-
-    Minimizes 1 - |<target|psi(theta)>|^2 with BFGS; returns
-    (theta*, final deficit, ansatz energy at theta*).
-    """
-    if abs(target.norm() - 1.0) > 1e-8:
-        raise ValueError("target must be normalized")
-    ops = [pool[i] for i in recipe.pool_indices()]
-    if theta0 is None:
-        theta0 = np.array(recipe.thetas())
-    theta0 = np.asarray(theta0, dtype=float)
-
-    def fun(th):
-        ov, dov = ansatz_overlap_gradient(target, ops, th, reference)
-        deficit = 1.0 - abs(ov) ** 2
-        grad = -2.0 * np.real(np.conj(ov) * dov)
-        return deficit, grad
-
-    res = minimize(fun, theta0, jac=True, method="BFGS",
-                   options={"gtol": 1e-10, "maxiter": budget})
-    theta_star = np.asarray(res.x, dtype=float)
-    state = prepare_state(BasisRecipe(tuple(zip(recipe.pool_indices(), theta_star))),
-                          pool, reference)
-    energy = apply_paulisum(h, state).inner(state).real
-    return theta_star, float(res.fun), float(energy)

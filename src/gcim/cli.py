@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -83,7 +84,15 @@ def load_config(path: str | Path, seed: int | None = None,
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    doc = json.loads(path.read_text())
+
+    def finite(token: str) -> float:
+        """Parse a JSON number, rejecting NaN, Infinity and overflowing literals."""
+        value = float(token)
+        if not math.isfinite(value):
+            raise ConfigError(f"invalid config {path}: number {token} is not finite")
+        return value
+
+    doc = json.loads(path.read_text(), parse_float=finite, parse_constant=finite)
     schema = _load_schema("config.schema.json")
     try:
         jsonschema.validate(doc, schema)
@@ -119,8 +128,11 @@ class System:
     h: PauliSum
     pool: list[PoolOperator]
     reference: StateVector
-    n_qubits: int
     source: str
+
+    @property
+    def n_qubits(self) -> int:
+        return self.h.n_qubits
 
 
 def build_system(cfg: RunConfig) -> System:
@@ -140,7 +152,7 @@ def build_system(cfg: RunConfig) -> System:
             raise ConfigError("pauli_json sources need explicit n_alpha/n_beta")
         pool = build_pool(n_qubits // 2)
         ref = hf_state(n_qubits, cfg.n_alpha, cfg.n_beta)
-        return System(h, pool, ref, n_qubits, f"pauli_json:{path}")
+        return System(h, pool, ref, f"pauli_json:{path}")
     if "fcidump" in src:
         path = Path(src["fcidump"])
         if not path.exists():
@@ -156,7 +168,7 @@ def build_system(cfg: RunConfig) -> System:
     n_alpha = cfg.n_alpha if cfg.n_alpha is not None else ints.n_alpha
     n_beta = cfg.n_beta if cfg.n_beta is not None else ints.n_beta
     return System(h, build_pool(ints.n_orb), hf_state(n_qubits, n_alpha, n_beta),
-                  n_qubits, source)
+                  source)
 
 
 def _atomic_write(path: Path, text: str) -> None:

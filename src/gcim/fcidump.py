@@ -101,8 +101,9 @@ def parse_fcidump(text: str) -> SpatialIntegrals:
 
     Unspecified entries are zero; each stored value fills its whole
     permutation class.  Raises FcidumpError (with a line number) on a
-    malformed header, FcidumpRangeError on indices outside [0, NORB] and
-    FcidumpConsistencyError when duplicates disagree by more than 1e-10.
+    malformed header or a non-finite value, FcidumpRangeError on indices
+    outside [0, NORB] and FcidumpConsistencyError when duplicates disagree
+    by more than 1e-10.
     """
     lines = text.splitlines()
     header_fields: dict[str, int] = {}
@@ -151,6 +152,8 @@ def parse_fcidump(text: str) -> SpatialIntegrals:
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError:
             raise FcidumpError(f"line {ln}: cannot parse {line!r}")
+        if not np.isfinite(value):
+            raise FcidumpError(f"line {ln}: value {parts[0]!r} is not finite")
         for idx in (i, j, k, l):
             if not 0 <= idx <= n_orb:
                 raise FcidumpRangeError(f"line {ln}: index {idx} outside [0, {n_orb}]")

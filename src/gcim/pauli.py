@@ -212,7 +212,8 @@ def parse_pauli_json(text: str) -> PauliSum:
 
     The document is a list of records {"pauli": str over IXYZ,
     "coeff_re": float, "coeff_im": float}; all strings equal length.
-    Duplicate strings merge by coefficient addition.
+    Duplicate strings merge by coefficient addition; a coefficient that is
+    not finite, alone or merged, is a format error.
     """
     try:
         doc = json.loads(text)
@@ -245,6 +246,9 @@ def parse_pauli_json(text: str) -> PauliSum:
                 f"coefficient of term record {k} ({label}) overflows a float") from exc
         p = PauliString.from_label(label)
         out[p] = out.get(p, 0.0) + coeff
+        if not np.isfinite(out[p]):
+            raise PauliFormatError(
+                f"coefficient of term record {k} ({label}) is not finite")
     return PauliSum(n, out)
 
 

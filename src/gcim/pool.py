@@ -130,13 +130,6 @@ def build_pool(n_spatial: int) -> list[PoolOperator]:
     return ops
 
 
-def pool_gradient_operator(op: PoolOperator, h: PauliSum) -> PauliSum:
-    """Gradient observable [H, A] for operator selection."""
-    if h.n_qubits != op.qubit.n_qubits:
-        raise ValueError("register size mismatch")
-    return h.commutator(op.qubit)
-
-
 def pool_to_json(pool: list[PoolOperator]) -> list[dict]:
     """Audit dump: label, indices, kind and the Pauli form of each element."""
     return [

@@ -132,10 +132,6 @@ class MeasurementEstimate:
     vqe_style_total: int      # optimization rounds + gradient screening
     gcim_style_total: int     # matrix build (quadratic in basis size) + screening
 
-    @property
-    def matrix_build_total(self) -> int:
-        return self.n_generating_functions ** 2
-
 
 def measurement_estimate(trace: AdaptTrace, n_term: int) -> MeasurementEstimate:
     """Per-algorithm measurement totals from a completed trace.

@@ -74,10 +74,6 @@ class EntryEstimator:
         if self.shots is not None:
             self.shots = np.asarray(self.shots, dtype=np.int64)
 
-    @property
-    def exact_value(self) -> float:
-        return float(self.coeffs @ self.p_values)
-
     def variance(self) -> float:
         """Var(Xi) for the assigned shot counts (binomial and Gaussian agree)."""
         if self.shots is None:
@@ -101,12 +97,6 @@ def exact_decomposition(basis: SubspaceBasis, h: PauliSum, i: int, j: int
                                         basis.states[j].amplitudes[None])
     return EntryEstimator(_real(coeffs, "Hamiltonian coefficient"),
                           _real(values[0, 0], "entry expectation"))
-
-
-def overlap_decomposition(basis: SubspaceBasis, i: int, j: int) -> EntryEstimator:
-    """Overlap entries are the single identity-term case of the model."""
-    val = np.array([basis.states[i].inner(basis.states[j])])
-    return EntryEstimator(np.array([1.0]), _real(val, "overlap"))
 
 
 def _shot_array(counts) -> np.ndarray:
@@ -254,24 +244,6 @@ class MatrixEstimators:
                     out[:, r, e] = (np.sum(self.coeffs * lam / shots, axis=-1)
                                     if tag == 0 else lam / shots)
         return h_out, s_out
-
-
-def perturb_matrices(h_mat: np.ndarray, s_mat: np.ndarray, basis: SubspaceBasis,
-                     h: PauliSum, cfg: ShotConfig, run_index: int = 0
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Replace each independent upper-triangle entry by one finite-shot draw.
-
-    Hermitian symmetry is restored by mirroring.  h_mat/s_mat are accepted
-    for interface symmetry and cross-checked against the decompositions.
-    """
-    ests = MatrixEstimators.build(basis, h)
-    rows, cols = ests.entries
-    bad = np.abs(ests.p_values @ ests.coeffs - h_mat[rows, cols].real) > 1e-8
-    if bad.any():
-        e = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"H[{rows[e]},{cols[e]}] disagrees with its decomposition")
-    h_vals, s_vals = ests.sample([cfg], [run_index])
-    return ests.matrix(h_vals[0, 0]), ests.matrix(s_vals[0, 0])
 
 
 @dataclass

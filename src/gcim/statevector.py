@@ -398,15 +398,16 @@ def pauli_expectations(bras: np.ndarray, h: PauliSum, kets: np.ndarray
 
 @dataclass(frozen=True)
 class ExactSpectrum:
-    """Lowest eigenvalues (ascending, hartree) and the ground eigenvector.
-
-    sector is the (n_alpha, n_beta) sector that was diagonalized, or None
-    for the full register.
-    """
+    """Lowest eigenvalues (ascending, hartree) and the ground eigenvector."""
 
     eigenvalues: np.ndarray
     ground_state: StateVector
-    sector: tuple[int, int] | None = None
+
+    @property
+    def sector(self) -> tuple[int, int] | None:
+        """The (n_alpha, n_beta) sector that was diagonalized, or None for
+        the full register."""
+        return self.ground_state.space.sector
 
 
 def exact_spectrum(h: PauliSum, k: int = 1,
@@ -451,5 +452,4 @@ def exact_spectrum(h: PauliSum, k: int = 1,
     if resid > 1e-9:
         raise RuntimeError(f"eigensolver residual {resid:.3e} exceeds 1e-9")
     return ExactSpectrum(np.asarray(vals, dtype=float),
-                         StateVector(space, ground / np.linalg.norm(ground)),
-                         space.sector)
+                         StateVector(space, ground / np.linalg.norm(ground)))

@@ -14,8 +14,6 @@ from gcim.adapt import (
     pool_gradients,
     run_algorithm,
     select_operator,
-    ucc_translate,
-    uccsd_recipe,
     vqe_minimize,
 )
 from gcim.pauli import PauliSum
@@ -24,7 +22,6 @@ from gcim.subspace import (
     BasisRecipe,
     SubspaceBasis,
     build_matrices,
-    overlap_deficit,
     prepare_state,
     solve_gevp,
 )
@@ -408,50 +405,6 @@ def test_gcim_family_rejects_an_empty_pool(toy, algorithm):
     h, _, ref = toy
     with pytest.raises(ValueError, match="empty candidate"):
         run_algorithm(h, [], ref, AdaptConfig(algorithm=algorithm))
-
-
-def test_uccsd_recipe_contents(toy):
-    h, pool, ref = toy
-    recipe = uccsd_recipe(pool, n_occ_spatial=1)
-    labels = [pool[i].label for i in recipe.pool_indices()]
-    assert "s(1,0)" in labels
-    assert "dS(0,0,1,1)" in labels
-    assert all("dS(0,0,0,1)" != lab for lab in labels)  # occ->mixed excluded
-
-
-def test_ucc_translate_reference_target(toy):
-    h, pool, ref = toy
-    recipe = uccsd_recipe(pool, n_occ_spatial=1)
-    theta, deficit, energy = ucc_translate(h, pool, ref, recipe, ref)
-    assert deficit == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(theta, 0.0)
-    assert energy == pytest.approx(ref.inner(apply_paulisum(h, ref)).real)
-
-
-def test_ucc_translate_deficit_bounded_and_improving(toy):
-    # the site-basis toy reference is far from a canonical-orbital one, so
-    # only boundedness and improvement are asserted here; the quantitative
-    # anchor runs on the molecular system below
-    h, pool, ref = toy
-    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
-    target = trace.final_state
-    recipe = uccsd_recipe(pool, n_occ_spatial=1)
-    start_deficit = overlap_deficit(target, ref)
-    theta, deficit, energy = ucc_translate(h, pool, target, recipe, ref)
-    assert 0.0 <= deficit <= 1.0
-    assert deficit <= start_deficit + 1e-12
-
-
-def test_ucc_translate_reaches_gcim_ground_molecular(h4):
-    # canonical-orbital reference: the fitted product ansatz reproduces the
-    # converged subspace ground state to the published deficit scale
-    h, pool, ref = h4
-    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=10))
-    target = trace.final_state
-    recipe = uccsd_recipe(pool, n_occ_spatial=2)
-    theta, deficit, energy = ucc_translate(h, pool, target, recipe, ref)
-    assert deficit < 1e-3
-    assert abs(energy - trace.final_energy) < 5e-3
 
 
 def test_trace_jsonable_fields(toy):

@@ -340,7 +340,7 @@ def test_dump_matrices_leading_blocks(tmp_path, toy):
 def test_noise_basis_holds_trace_states(toy):
     h, pool, ref = toy
     trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
-    basis = _noise_basis(trace, System(h, pool, ref, h.n_qubits, "toy"))
+    basis = _noise_basis(trace, System(h, pool, ref, "toy"))
     assert 0 < len(basis) <= len(trace.basis)
     assert len(basis.states) == len(basis)
     assert all(a is b for a, b in zip(basis.states, trace.basis.states))
@@ -477,6 +477,55 @@ def test_pauli_json_coefficient_overflow_is_a_cli_error(tmp_path, capsys):
     assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("gcim: error:") and "term record 0" in err
+
+
+def _assert_input_error(tmp_path, capsys, argv, *names):
+    """The verb exits 1 with an error that names the fault, and writes no artifact."""
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("gcim: error:") and all(name in err for name in names), err
+    assert not any((tmp_path / "out").rglob("*"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_fcidump_value_is_a_cli_error(tmp_path, capsys, h4_path, value):
+    # a NaN row used to pass the symmetry check and be dropped by the
+    # assembly, so method and oracle agreed on a different Hamiltonian
+    lines = h4_path.read_text().splitlines()
+    assert lines[2].endswith(" 1 1 1 1")
+    lines[2] = f"{value} 1 1 1 1"
+    fcidump = tmp_path / "h4.fcidump"
+    fcidump.write_text("\n".join(lines) + "\n")
+    doc = _toy_doc(tmp_path, hamiltonian={"fcidump": str(fcidump)})
+    _assert_input_error(tmp_path, capsys,
+                        ["run", "--config", str(_write_config(tmp_path, doc))], "line 3")
+
+
+@pytest.mark.parametrize("records, named", [
+    ('{"pauli": "ZZII", "coeff_re": NaN}', "term record 1"),
+    ('{"pauli": "ZZII", "coeff_im": -Infinity}', "term record 1"),
+    ('{"pauli": "ZZII", "coeff_re": 1e308}, {"pauli": "ZZII", "coeff_re": 1e308}',
+     "term record 2"),
+], ids=["nan", "minus-infinity", "merged-overflow"])
+def test_non_finite_pauli_json_coefficient_is_a_cli_error(tmp_path, capsys, records,
+                                                          named):
+    ham = tmp_path / "ham.json"
+    ham.write_text('[{"pauli": "XXXX", "coeff_re": 1.0}, ' + records + "]")
+    doc = _toy_doc(tmp_path, hamiltonian={"pauli_json": str(ham)}, n_alpha=1, n_beta=1)
+    _assert_input_error(tmp_path, capsys,
+                        ["run", "--config", str(_write_config(tmp_path, doc))], named)
+
+
+@pytest.mark.parametrize("verb, old, new", [
+    ("run", '"u": 2.0', '"u": Infinity'),
+    ("run", '"u": 2.0', '"u": 1e999'),
+    ("noise", '"seed": 7', '"seed": 7, "tau_grid": [NaN]'),
+], ids=["infinity", "overflow", "nan"])
+def test_non_finite_config_number_is_a_cli_error(tmp_path, capsys, verb, old, new):
+    cfg_path = _write_config(tmp_path, _toy_doc(tmp_path))
+    cfg_path.write_text(cfg_path.read_text().replace(old, new))
+    _assert_input_error(tmp_path, capsys, [verb, "--config", str(cfg_path)],
+                        str(cfg_path), "not finite")
 
 
 def test_toy_occupation_overrides(tmp_path):

@@ -12,8 +12,6 @@ from gcim.shots import (
     hf_filter,
     mc_experiment,
     mc_sweep,
-    overlap_decomposition,
-    perturb_matrices,
     sample_entry,
 )
 from gcim.subspace import BasisRecipe, SubspaceBasis, build_matrices, solve_gevp
@@ -27,6 +25,13 @@ def _toy_noise_setup(toy, n_basis=3):
     return h, basis
 
 
+def _perturbed(basis, h, cfg, run=0):
+    """One finite-shot draw of the projected pair, mirrored symmetric."""
+    ests = MatrixEstimators.build(basis, h)
+    h_vals, s_vals = ests.sample([cfg], [run])
+    return ests.matrix(h_vals[0, 0]), ests.matrix(s_vals[0, 0])
+
+
 def test_shot_config_validation():
     with pytest.raises(ValueError):
         ShotConfig(tau=0.5)
@@ -38,15 +43,12 @@ def test_shot_config_validation():
 
 def test_exact_decomposition_reproduces_entry(toy):
     h, basis = _toy_noise_setup(toy)
-    h_mat, s_mat = build_matrices(basis, h)
+    h_mat, _ = build_matrices(basis, h)
     for i in range(3):
         for j in range(i, 3):
             est = exact_decomposition(basis, h, i, j)
-            assert est.exact_value == pytest.approx(h_mat[i, j].real, abs=1e-10)
+            assert est.coeffs @ est.p_values == pytest.approx(h_mat[i, j].real, abs=1e-10)
             assert np.all(np.abs(est.p_values) <= 1.0)
-            ov = overlap_decomposition(basis, i, j)
-            assert ov.coeffs.tolist() == [1.0]
-            assert ov.exact_value == pytest.approx(s_mat[i, j].real, abs=1e-12)
 
 
 def test_exact_decomposition_matches_per_term_oracle(h4):
@@ -108,7 +110,7 @@ def test_sample_entry_unbiased_generic():
         cfg = ShotConfig(tau=400, mode=mode)
         draws = np.array([sample_entry(est, cfg, rng) for _ in range(50_000)])
         se = np.sqrt(est.variance() / len(draws))
-        assert abs(draws.mean() - est.exact_value) < 4 * se
+        assert abs(draws.mean() - est.coeffs @ est.p_values) < 4 * se
         assert abs(draws.var() - est.variance()) / est.variance() < 0.05
 
 
@@ -183,7 +185,7 @@ def test_perturb_matrices_variance_collapse(toy):
     h, basis = _toy_noise_setup(toy)
     h_mat, s_mat = build_matrices(basis, h)
     cfg = ShotConfig(tau=1e14, mode="gaussian", seed=5)
-    h_noisy, s_noisy = perturb_matrices(h_mat, s_mat, basis, h, cfg)
+    h_noisy, s_noisy = _perturbed(basis, h, cfg)
     assert np.max(np.abs(h_noisy - h_mat.real)) < 1e-6
     assert np.max(np.abs(s_noisy - s_mat.real)) < 1e-6
     assert np.allclose(h_noisy, h_noisy.T)
@@ -191,12 +193,11 @@ def test_perturb_matrices_variance_collapse(toy):
 
 def test_perturb_matrices_reproducible(toy):
     h, basis = _toy_noise_setup(toy)
-    h_mat, s_mat = build_matrices(basis, h)
     cfg = ShotConfig(tau=1e4, seed=9)
-    a1 = perturb_matrices(h_mat, s_mat, basis, h, cfg, run_index=3)
-    a2 = perturb_matrices(h_mat, s_mat, basis, h, cfg, run_index=3)
+    a1 = _perturbed(basis, h, cfg, run=3)
+    a2 = _perturbed(basis, h, cfg, run=3)
     assert np.array_equal(a1[0], a2[0]) and np.array_equal(a1[1], a2[1])
-    b = perturb_matrices(h_mat, s_mat, basis, h, cfg, run_index=4)
+    b = _perturbed(basis, h, cfg, run=4)
     assert not np.array_equal(a1[0], b[0])
 
 
@@ -207,11 +208,9 @@ def test_noisy_gevp_with_duplicates_does_not_fail(toy):
     basis.append(BasisRecipe())
     basis.append(BasisRecipe())  # exact duplicate
     basis.append(BasisRecipe(((0, 0.7),)))
-    h_mat, s_mat = build_matrices(basis, h)
     cfg = ShotConfig(tau=1e6, mode="gaussian", seed=11)
     for run in range(25):
-        h_noisy, s_noisy = perturb_matrices(h_mat, s_mat, basis, h, cfg,
-                                            run_index=run)
+        h_noisy, s_noisy = _perturbed(basis, h, cfg, run)
         res = solve_gevp(h_noisy, s_noisy, 1e-5)
         assert np.isfinite(res.ground_energy)
 
@@ -247,6 +246,7 @@ def test_matrix_estimators_cache_consistency(toy):
     rows, cols = ests.entries
     for e, (i, j) in enumerate(zip(rows, cols)):
         assert ests.coeffs @ ests.p_values[e] == pytest.approx(h_mat[i, j].real, abs=1e-10)
+        assert ests.overlaps[e] == pytest.approx(s_mat[i, j].real, abs=1e-12)
     # every H entry shares the coefficients, so one allocation serves them all
     h_shots = allocate_shots_is(ests.coeffs, cfg.tau)
     assert np.all(h_shots >= 1)
@@ -267,10 +267,6 @@ def test_sweep_cells_reproduce_single_cells(toy):
         alone = MatrixEstimators.build(basis, h).sample([cfg], range(3))
         for a, b in zip(swept, alone):
             assert np.array_equal(a[c], b[0])
-        for run in range(3):
-            pair = perturb_matrices(h_mat, s_mat, basis, h, cfg, run_index=run)
-            for a, b in zip(pair, swept):
-                assert np.array_equal(a, first.matrix(b[c, run]))
     for cfg, summary in zip(cells, mc_sweep(h_mat, s_mat, first, cells, runs=4)):
         alone = mc_experiment(h_mat, s_mat, basis, h, cfg, runs=4)
         assert np.array_equal(summary.errors, alone.errors)
@@ -294,7 +290,8 @@ def test_sweep_stream_contract(toy, mode):
         alloc = allocate_shots_is if cfg.importance_sampling else allocate_shots_uniform
         for e, (i, j) in enumerate(zip(rows, cols)):
             h_est = exact_decomposition(basis, h, i, j)
-            s_est = overlap_decomposition(basis, i, j)
+            s_est = EntryEstimator(np.array([1.0]),
+                                   np.array([basis.states[i].inner(basis.states[j]).real]))
             assert np.array_equal(h_est.p_values, ests.p_values[e])
             assert np.array_equal(s_est.p_values, ests.overlaps[e:e + 1])
             h_est.shots = alloc(h_est.coeffs, cfg.tau)
