@@ -29,7 +29,13 @@ from scipy.optimize import minimize
 
 from .pauli import PauliSum
 from .pool import PoolOperator
-from .statevector import ExactSpectrum, StateVector, apply_paulisum, exp_apply
+from .statevector import (
+    ExactSpectrum,
+    StateVector,
+    apply_generators,
+    apply_paulisum,
+    exp_apply,
+)
 from .subspace import (
     DEFAULT_S_THRESHOLD,
     BasisRecipe,
@@ -154,10 +160,18 @@ class AdaptTrace:
 
 def pool_gradients(state: StateVector, h: PauliSum,
                    pool: list[PoolOperator]) -> np.ndarray:
-    """<state|[H, A_l]|state> for every pool element (real by construction)."""
+    """<state|[H, A_l]|state> = 2 Re <H state|A_l state> for every pool
+    element (real by construction).
+
+    H|state> is applied once and every A_l|state> comes from one stacked
+    product (apply_generators); each gradient is the real part of
+    StateVector.inner, the same two dot products per row.
+    """
     w = apply_paulisum(h, state)
-    return np.array([2.0 * w.inner(apply_paulisum(op.qubit, state)).real
-                     for op in pool])
+    wr, wi = w.data.real, w.data.imag
+    products = apply_generators([op.qubit for op in pool], state)
+    return np.array([2.0 * (np.dot(wr, br) + np.dot(wi, bi))
+                     for br, bi in zip(products.real, products.imag)])
 
 
 def select_operator(surrogate: StateVector, h: PauliSum, pool: list[PoolOperator],

@@ -78,6 +78,18 @@ class RunConfig:
         return ShotConfig(**kwargs)
 
 
+def _numbers(node, key: str = ""):
+    """(key path, value) of every number in a JSON document."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _numbers(v, f"{key}.{k}" if key else k)
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _numbers(v, f"{key}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield key, node
+
+
 def load_config(path: str | Path, seed: int | None = None,
                 out_dir: str | Path | None = None) -> RunConfig:
     """Read and schema-validate a JSON run configuration."""
@@ -93,6 +105,12 @@ def load_config(path: str | Path, seed: int | None = None,
         return value
 
     doc = json.loads(path.read_text(), parse_float=finite, parse_constant=finite)
+    for key, value in _numbers(doc):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"invalid config {path}: {key} is an integer too "
+                              "large for a double") from None
     schema = _load_schema("config.schema.json")
     try:
         jsonschema.validate(doc, schema)

@@ -17,12 +17,14 @@ first, then doubles lexicographically with singlet before triplet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .fermion import FermionOperator, down, jordan_wigner, up
 from .pauli import PauliSum
+from .statevector import bind_generators
 
 SINGLE = "single"
 DOUBLE_SINGLET = "double-singlet"
@@ -45,11 +47,15 @@ class PoolOperator:
 
     def forward_terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
         """The excitation half of the skew pair (coefficients real)."""
-        out = []
-        for (cre, ann), c in self.fermionic.sorted_terms():
-            if (cre, ann) < (tuple(reversed(ann)), tuple(reversed(cre))):
-                out.append((cre, ann, float(c.real)))
-        return out
+        return _forward_terms(self.fermionic)
+
+
+def _forward_terms(skew: FermionOperator) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
+    out = []
+    for (cre, ann), c in skew.sorted_terms():
+        if (cre, ann) < (tuple(reversed(ann)), tuple(reversed(cre))):
+            out.append((cre, ann, float(c.real)))
+    return out
 
 
 def _single_raw(p: int, q: int) -> FermionOperator:
@@ -95,7 +101,13 @@ def _fingerprint(fwd: FermionOperator) -> tuple:
 
 
 def build_pool(n_spatial: int) -> list[PoolOperator]:
-    """Deterministic spin-adapted pool over n_spatial spatial orbitals."""
+    """Deterministic spin-adapted pool over n_spatial spatial orbitals.
+
+    The qubit forms are bound together to their excitation terms, so the
+    statevector engine compiles every generator from those terms by
+    determinant string rules, all of them at once per state space; the
+    Jordan-Wigner images stay for pool.json and the Pauli-level checks.
+    """
     if n_spatial < 2:
         raise ValueError("pool needs at least 2 spatial orbitals")
     n_qubits = 2 * n_spatial
@@ -127,6 +139,10 @@ def build_pool(n_spatial: int) -> list[PoolOperator]:
                  _double_singlet_raw(p, q, r, s), f"dS({p},{q},{r},{s})")
             emit(DOUBLE_TRIPLET, (p, q, r, s),
                  _double_triplet_raw(p, q, r, s), f"dT({p},{q},{r},{s})")
+    # bound to the fermionic forms alone: a bound method would reach back to
+    # the qubit form, whose cache holds the binding
+    bind_generators([op.qubit for op in ops],
+                    [partial(_forward_terms, op.fermionic) for op in ops])
     return ops
 
 

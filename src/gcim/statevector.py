@@ -11,11 +11,17 @@ embedding into the full register, for oracles, tests and debug output.
 Each PauliSum is compiled once per space to a sparse CSR matrix over that
 space's indices, real whenever every entry is real (as for all FCIDUMP
 input), and cached on the instance.  On a sector the matrix is the sector
-block, so apply_paulisum returns the sector projection of h|v>.  Generator
-exponentials are exact: the compiled generator splits into small connected
-blocks, each eigendecomposed once, so exp(theta * A) is one batched product
-per block size.  The dense path exists separately as an oracle
-(pauli.jw_to_matrix).
+block, so apply_paulisum returns the sector projection of h|v>.  A Hamiltonian,
+or any sum a caller builds, compiles from its Pauli strings one X mask at a
+time.  The generators of a pool are bound to their excitation terms
+(bind_generators): the first time a space needs any of them, all of them
+compile in one vectorized pass over every term by determinant string rules,
+into one stacked CSR whose row block l is generator l's matrix, exactly
+antisymmetric and free of cancellation residues.  apply_generators is one
+product with that stack.  Generator exponentials are exact: the compiled
+generator splits into small connected blocks, each eigendecomposed once, so
+exp(theta * A) is one batched product per block size.  The dense path exists
+separately as an oracle (pauli.jw_to_matrix).
 """
 
 from __future__ import annotations
@@ -30,11 +36,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fermion import down, up
-from .pauli import I_POWERS, PauliSum, ResourceLimitError
+from .pauli import COEFF_CUTOFF, I_POWERS, PauliSum, ResourceLimitError
 
 _DENSE_EIG_MAX_DIM = 1024
 _ORACLE_MAX_DIM = 1 << 16
 _LEAK_TOL = 1e-12   # largest entry a generator may send out of its space
+_CHUNK = 1 << 14    # (term, state) pairs per step of the excitation compile
 
 
 def _signs(idx: np.ndarray, z) -> np.ndarray:
@@ -105,8 +112,9 @@ class _Compiled:
 
 
 def _cache(h: PauliSum) -> dict:
-    """What this module derives from h: a _Compiled per space, and under
-    "terms" the grouping pauli_expectations uses."""
+    """What this module derives from h: a _Compiled per space, under "terms"
+    the grouping pauli_expectations uses, and under "group" the
+    _GeneratorGroup h is bound to and its position there."""
     if h._compiled is None:
         h._compiled = {}
     return h._compiled
@@ -115,8 +123,144 @@ def _cache(h: PauliSum) -> dict:
 def _compiled(h: PauliSum, space: Space) -> _Compiled:
     cache = _cache(h)
     if space not in cache:
-        cache[space] = _Compiled(*_compile_matrix(h, space))
+        if "group" in cache:
+            group, l = cache["group"]
+            cache[space] = _Compiled(group.block(space, l), 0.0)
+        else:
+            cache[space] = _Compiled(*_compile_matrix(h, space))
     return cache[space]
+
+
+class _GeneratorGroup:
+    """Generators compiled together from their excitation terms, one stacked
+    matrix per space, built the first time the space needs any of them.
+    The group holds no reference to its members, so binding makes no
+    reference cycle."""
+
+    def __init__(self, excitations: list):
+        self.excitations = excitations
+        self.stacks: dict[Space, sp.csr_array] = {}
+
+    def stack(self, space: Space) -> sp.csr_array:
+        """All members over the space, stacked: row block l (rows l*dim to
+        (l+1)*dim) is member l's matrix."""
+        if space not in self.stacks:
+            self.stacks[space] = self._compile(space)
+        return self.stacks[space]
+
+    def block(self, space: Space, l: int) -> sp.csr_array:
+        """Member l's matrix, a view of the stack's entries."""
+        stack, dim = self.stack(space), space.dim
+        ptr = stack.indptr[l * dim:(l + 1) * dim + 1]
+        block = sp.csr_array((dim, dim), dtype=stack.dtype)
+        # assigned, not passed to the constructor, which would copy a view
+        # this much smaller than the stack
+        block.indptr = ptr - ptr[0]
+        block.indices = stack.indices[ptr[0]:ptr[-1]]
+        block.data = stack.data[ptr[0]:ptr[-1]]
+        return block
+
+    def _compile(self, space: Space) -> sp.csr_array:
+        """The stacked matrix A_l = F_l - F_l^T, F_l from member l's terms.
+
+        Every term c a+_{cre} a_{ann} of every member is one row of flat
+        term arrays: its member, c, and its ladder operators in the order
+        they act on a ket (annihilations, then creations, each right to
+        left) as a bit and a creation flag, padded with (0, creation), which
+        acts as the identity.  Each (term, state) pair follows the ket's bit
+        string through them: the pair survives if every annihilated orbital
+        is occupied and every created one empty, and its sign is
+        (-1)^(occupied orbitals below each ladder operator).  Members are
+        compiled a run at a time, about _CHUNK pairs each.  Entries of F
+        sharing a position are summed in term order; A(k) = F(k) - F(k^T)
+        then holds A(k^T) = -A(k) exactly, and entries below COEFF_CUTOFF
+        (cancellation residues) are dropped.  A term must conserve both
+        spin counts, so the stack has no entry outside the space.
+        """
+        terms = [(l, tuple(reversed(ann)) + tuple(reversed(cre)), len(ann), c)
+                 for l, ex in enumerate(self.excitations) for cre, ann, c in ex()]
+        for _, ops, n_ann, _ in terms:
+            # spin orbital p has spin p % 2 (fermion.up, fermion.down)
+            if sorted(p % 2 for p in ops[:n_ann]) != sorted(p % 2 for p in ops[n_ann:]):
+                raise ValueError(f"excitation term {ops} changes a spin count")
+        width = max((len(ops) for _, ops, _, _ in terms), default=0)
+        member = np.array([l for l, _, _, _ in terms], dtype=np.int64)
+        coeff = np.array([c for _, _, _, c in terms], dtype=np.float64)
+        bits = np.zeros((len(terms), width), dtype=np.int64)
+        creates = np.ones((len(terms), width), dtype=bool)
+        for t, (_, ops, n_ann, _) in enumerate(terms):
+            bits[t, :len(ops)] = [1 << p for p in ops]
+            creates[t, :n_ann] = False
+        belows = np.where(bits > 0, bits - 1, 0)   # the orbitals under each bit
+
+        idx, dim = space.indices, space.dim
+        n_members = len(self.excitations)
+        first = np.searchsorted(member, np.arange(n_members + 1))   # each member's first term
+        indptr = np.zeros(n_members * dim + 1, dtype=np.int32)   # row counts first
+        cols, vals = [np.zeros(0, np.int32)], [np.zeros(0)]
+
+        def transposed(k):
+            block_row, col = np.divmod(k, dim)
+            l, row = np.divmod(block_row, dim)
+            return (l * dim + col) * dim + row
+
+        def f(k):   # F at the keys k of the current run, 0 where it has no entry
+            at = np.minimum(np.searchsorted(keys, k), keys.size - 1)
+            return np.where(keys[at] == k, fvals[at], 0.0)
+
+        l0 = 0
+        while l0 < n_members:
+            # members l0..l1-1: at least one, else as many as fit in _CHUNK pairs
+            l1 = max(l0 + 1, int(np.searchsorted(first, first[l0] + _CHUNK // dim, "right")) - 1)
+            chunk = slice(first[l0], first[l1])
+            cur = np.repeat(idx[None, :], chunk.stop - chunk.start, axis=0)
+            alive = np.ones(cur.shape, dtype=bool)
+            parity = np.zeros(cur.shape, dtype=np.uint8)
+            # one (terms, 1) column per ladder operator
+            for bit, below, create in zip(bits[chunk].T[..., None],
+                                          belows[chunk].T[..., None],
+                                          creates[chunk].T[..., None]):
+                alive &= ((cur & bit) == 0) == create
+                parity ^= np.bitwise_count(cur & below)
+                cur ^= bit
+            t, j = np.nonzero(alive)
+            pos, _ = space.positions(cur[t, j])
+            # key ((member - l0) * dim + row) * dim + col, sorted and unique
+            keys, inverse = np.unique(((member[chunk][t] - l0) * dim + pos) * dim + j,
+                                      return_inverse=True)
+            fvals = np.bincount(inverse, weights=coeff[chunk][t] * (1.0 - 2.0 * (parity[t, j] & 1)),
+                                minlength=keys.size)
+            akeys = np.sort(np.concatenate((keys, transposed(keys))))
+            akeys = akeys[np.diff(akeys, prepend=-1) != 0]
+            avals = f(akeys) - f(transposed(akeys))
+            keep = np.abs(avals) >= COEFF_CUTOFF
+            rows, col = np.divmod(akeys[keep], dim)
+            indptr[l0 * dim + 1:l1 * dim + 1] = np.bincount(rows, minlength=(l1 - l0) * dim)
+            cols.append(col.astype(np.int32))
+            vals.append(avals[keep])
+            l0 = l1
+        np.cumsum(indptr, out=indptr)
+        return sp.csr_array((np.concatenate(vals), np.concatenate(cols), indptr),
+                            shape=(n_members * dim, dim))
+
+
+def bind_generators(sums: list[PauliSum], excitations: list) -> None:
+    """Compile the anti-Hermitian sums from their excitation terms, together.
+
+    excitations[l]() lists the (creations, annihilations, real coefficient)
+    terms of the excitation half F_l of sums[l] = F_l - F_l^dagger, in the
+    canonical order of fermion.FermionOperator (pool.PoolOperator
+    .forward_terms); every term must conserve both spin counts.  It is
+    called when the group first compiles, so binding costs nothing up
+    front.  From then on each sum's matrix over a space is row block l of
+    the group's stacked matrix, whichever call compiles it first.  Bind
+    before anything compiles the sums.
+    """
+    if len(sums) != len(excitations):
+        raise ValueError("one excitation list per generator")
+    group = _GeneratorGroup(excitations)
+    for l, a in enumerate(sums):
+        _cache(a)["group"] = (group, l)
 
 
 def _compile_matrix(h: PauliSum, space: Space) -> tuple[sp.csr_array, float]:
@@ -314,6 +458,25 @@ def apply_paulisum(h: PauliSum, v: StateVector) -> StateVector:
     if h.n_qubits != v.n_qubits:
         raise ValueError("register size mismatch")
     return StateVector(v.space, _matvec(_compiled(h, v.space).matrix, v.data))
+
+
+def apply_generators(gens: list[PauliSum], v: StateVector) -> np.ndarray:
+    """Rows gens[l]|v> as one (len(gens), dim) complex array.
+
+    When gens are the members of one bound group, in order, this is one
+    product with the group's stacked matrix; otherwise one product per
+    generator.  A row equals apply_paulisum(gens[l], v).data to the last
+    bit either way: each row of a CSR product sums that row's entries in
+    stored order, and a member's matrix is its row block of the stack.
+    """
+    if any(a.n_qubits != v.n_qubits for a in gens):
+        raise ValueError("register size mismatch")
+    group = _cache(gens[0]).get("group", (None,))[0] if gens else None
+    if group is not None and len(gens) == len(group.excitations) and all(
+            _cache(a).get("group") == (group, l) for l, a in enumerate(gens)):
+        return _matvec(group.stack(v.space), v.data).reshape(len(gens), -1)
+    return np.array([_matvec(_compiled(a, v.space).matrix, v.data) for a in gens],
+                    dtype=complex).reshape(len(gens), v.space.dim)
 
 
 def _generator(a: PauliSum, space: Space) -> _Compiled:

@@ -3,9 +3,13 @@ generalized eigenvalue problem.
 
 A basis vector is described by a recipe: an ordered list of
 (pool index, theta) rotations applied to the reference determinant.  The
-projected pair (H, S) is solved by eigendecomposing S, keeping eigenvalues
-above a threshold (canonical orthogonalization) and diagonalizing the
-projected Hamiltonian in that subspace.
+projected pair (H, S) grows one column per new state: column j of H and of
+S is one product of the stacked conjugated states 0..j with H|psi_j> and
+|psi_j>, the same product whether the pair is built fresh or extended, and
+the lower triangle is its conjugate mirror.  The pair is solved by
+eigendecomposing S, keeping eigenvalues above a threshold (canonical
+orthogonalization) and diagonalizing the projected Hamiltonian in that
+subspace.
 """
 
 from __future__ import annotations
@@ -115,8 +119,11 @@ def build_matrices(basis: SubspaceBasis, h: PauliSum) -> tuple[np.ndarray, np.nd
 
     The pair is cached on the basis and extended by the states appended
     since the last call; a different h, or a state list that no longer
-    starts with the cached states, rebuilds it.  Only the upper triangle is
-    computed; the conjugate mirror enforces Hermitian symmetry exactly.  The
+    starts with the cached states, rebuilds it.  Column j above the
+    diagonal is one product of the conjugated states 0..j, stacked, with
+    H|psi_j> and |psi_j>, so an extension computes exactly what a fresh
+    build does.  The diagonal keeps its real part and the lower triangle
+    is the conjugate mirror, so both matrices are exactly Hermitian.  The
     returned arrays are read-only.
     """
     states = basis.states
@@ -134,13 +141,14 @@ def build_matrices(basis: SubspaceBasis, h: PauliSum) -> tuple[np.ndarray, np.nd
         s_mat = np.zeros((m, m), dtype=complex)
         h_mat[:m0, :m0] = pair.h_mat
         s_mat[:m0, :m0] = pair.s_mat
+        kets = np.array([psi.data for psi in states])
         for j in range(m0, m):
-            for i in range(j + 1):
-                h_mat[i, j] = states[i].inner(h_kets[j])
-                s_mat[i, j] = states[i].inner(states[j])
-                if i != j:
-                    h_mat[j, i] = np.conj(h_mat[i, j])
-                    s_mat[j, i] = np.conj(s_mat[i, j])
+            bras = kets[:j + 1].conj()
+            for mat, ket in ((h_mat, h_kets[j].data), (s_mat, kets[j])):
+                col = bras @ ket
+                mat[:j, j] = col[:j]
+                mat[j, :j] = col[:j].conj()
+                mat[j, j] = col[j].real
         h_mat.setflags(write=False)
         s_mat.setflags(write=False)
         pair = ProjectedPair(h, list(states), h_kets, h_mat, s_mat)

@@ -459,3 +459,17 @@ def test_run_algorithm_dispatches_on_config(toy, algorithm):
     # per iteration
     vqe_family = algorithm not in (ADAPT_GCIM, ADAPT_GCIM_MN)
     assert all((r.vqe_energy is not None) == vqe_family for r in trace.records)
+
+
+def test_stacked_screen_equals_one_inner_per_operator(h4):
+    # at the reference and at a rotated surrogate, every gradient equals the
+    # per-operator 2 Re <H psi|A_l psi> on the same matrices, bit for bit
+    h, pool, ref = h4
+    surrogate = prepare_state(BasisRecipe(((9, 0.7), (40, -0.3), (2, 1.1))), pool, ref)
+    for state in (ref, surrogate):
+        w = apply_paulisum(h, state)
+        want = np.array([2.0 * w.inner(apply_paulisum(op.qubit, state)).real
+                         for op in pool])
+        got = pool_gradients(state, h, pool)
+        assert np.array_equal(got, want)
+    assert np.any(got != 0.0)

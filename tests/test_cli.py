@@ -528,6 +528,20 @@ def test_non_finite_config_number_is_a_cli_error(tmp_path, capsys, verb, old, ne
                         str(cfg_path), "not finite")
 
 
+@pytest.mark.parametrize("verb, old, new, key", [
+    ("run", '"u": 2.0', '"u": 1' + "0" * 400, "hamiltonian.toy.u"),
+    ("noise", '"seed": 7', '"seed": 7, "tau_grid": [1e10, 1' + "0" * 400 + "]",
+     "tau_grid[1]"),
+], ids=["toy-u", "tau-grid"])
+def test_config_integer_too_large_for_a_double_is_a_cli_error(tmp_path, capsys, verb,
+                                                              old, new, key):
+    # float() of such an integer raised OverflowError, which main did not catch
+    cfg_path = _write_config(tmp_path, _toy_doc(tmp_path))
+    cfg_path.write_text(cfg_path.read_text().replace(old, new))
+    _assert_input_error(tmp_path, capsys, [verb, "--config", str(cfg_path)],
+                        str(cfg_path), key, "too large for a double")
+
+
 def test_toy_occupation_overrides(tmp_path):
     doc = _toy_doc(tmp_path, n_alpha=2, n_beta=0)
     assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == EXIT_OK

@@ -365,3 +365,63 @@ def test_exact_spectrum_caps_the_dimension_not_the_register():
     spec = exact_spectrum(PauliSum.identity(18, 0.5), k=2, reference=ref)
     assert spec.sector == (1, 1) and np.allclose(spec.eigenvalues, 0.5)
     assert spec.ground_state.space is ref.space
+
+
+@pytest.mark.parametrize("case", ["toy-1-1", "h4-2-2", "3orb-2-1", "2orb-full"])
+def test_pool_matrices_from_excitation_terms_match_jordan_wigner(case, toy, h4):
+    # every generator's compiled matrix is built from its excitation terms by
+    # string rules; the Jordan-Wigner image, densified, is the independent
+    # reference; the X-mask compile of the same sums kept cancellation
+    # residues (below 2e-16) in 12 of H4's 66 generators
+    from gcim.pool import build_pool
+    from gcim.statevector import _compiled, full_space
+
+    if case == "toy-1-1":
+        _, pool, ref = toy
+        space = ref.space
+    elif case == "h4-2-2":
+        _, pool, ref = h4
+        space = ref.space
+    elif case == "3orb-2-1":
+        pool, space = build_pool(3), hf_state(6, 2, 1).space
+    else:
+        pool, space = build_pool(2), full_space(4)
+    assert space.sector == {"toy-1-1": (1, 1), "h4-2-2": (2, 2),
+                            "3orb-2-1": (2, 1), "2orb-full": None}[case]
+    keep = space.indices
+    for op in pool:
+        mat = _compiled(op.qubit, space).matrix
+        dense = mat.toarray()
+        assert mat.dtype == np.float64
+        assert np.max(np.abs(dense - jw_to_matrix(op.qubit)[np.ix_(keep, keep)])) <= 1e-15
+        assert np.array_equal(dense, -dense.T)
+        assert np.all(np.abs(mat.data) >= 1e-15)
+
+
+def test_pool_matrices_do_not_depend_on_call_order():
+    # one pool compiled first by a rotation, the other first by the stacked
+    # screen: the same matrices to the last bit
+    from gcim.adapt import pool_gradients
+    from gcim.pool import build_pool
+    from gcim.statevector import _compiled
+
+    rng = np.random.default_rng(71)
+    h = random_hermitian_sum(rng, 6, 10)
+    ref = hf_state(6, 2, 1)
+    by_rotation, by_screen = build_pool(3), build_pool(3)
+    exp_apply(by_rotation[-1].qubit, 0.4, ref)
+    pool_gradients(ref, h, by_screen)
+    for a, b in zip(by_rotation, by_screen):
+        ma, mb = _compiled(a.qubit, ref.space).matrix, _compiled(b.qubit, ref.space).matrix
+        assert np.array_equal(ma.toarray(), mb.toarray())
+
+
+def test_bound_generator_terms_must_conserve_both_spin_counts():
+    from gcim.statevector import bind_generators
+
+    op = FermionOperator()
+    op.add_term(1.0, (2,), (1,))  # spin-down orbital 1 to spin-up orbital 2
+    gen = jordan_wigner(op.minus_hc(), 4)
+    bind_generators([gen], [lambda: [((2,), (1,), 1.0)]])
+    with pytest.raises(ValueError, match="spin count"):
+        exp_apply(gen, 0.3, hf_state(4, 1, 1))

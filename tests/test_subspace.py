@@ -370,3 +370,25 @@ def test_figure_one_style_toy_comparison(toy, toy_spectrum):
             psi = ub(t2) @ psi1
             best = min(best, np.vdot(psi, dense_h @ psi).real)
     assert best > exact + 1e-4  # the constrained optimum stays strictly above
+
+
+def test_block_built_pair_matches_per_entry_inner_products(h4):
+    # complex states, so the conjugations and the real diagonal are exercised
+    h, pool, ref = h4
+    recipes = [BasisRecipe(), BasisRecipe(((3, 0.5),)), BasisRecipe(((3, 0.5), (17, -0.8))),
+               BasisRecipe(((60, 1.2),)), BasisRecipe(((60, 1.2), (3, 0.2), (41, 0.9)))]
+    states = [StateVector(ref.space, np.exp(0.7j * k) * prepare_state(r, pool, ref).data)
+              for k, r in enumerate(recipes)]
+    basis = SubspaceBasis(reference=ref, pool=pool, recipes=recipes[:3], states=states[:3])
+    build_matrices(basis, h)
+    basis.recipes += recipes[3:]
+    basis.states += states[3:]
+    h_mat, s_mat = build_matrices(basis, h)
+    h_kets = [apply_paulisum(h, st) for st in states]
+    h_ref = np.array([[a.inner(b) for b in h_kets] for a in states])
+    s_ref = np.array([[a.inner(b) for b in states] for a in states])
+    assert np.max(np.abs(h_mat - h_ref)) <= 1e-14
+    assert np.max(np.abs(s_mat - s_ref)) <= 1e-14
+    assert np.any(h_mat.imag != 0)
+    for mat in (h_mat, s_mat):
+        assert np.array_equal(mat, mat.conj().T)
