@@ -24,7 +24,7 @@ from .adapt import (
     vqe_minimize,
 )
 from .fcidump import SpatialIntegrals, assemble_hamiltonian, dumps_fcidump, parse_fcidump
-from .fermion import FermionOperator, jordan_wigner
+from .fermion import FermionOperator, jordan_wigner, jordan_wigner_all
 from .pauli import (
     PauliString,
     PauliSum,

@@ -78,16 +78,27 @@ class RunConfig:
         return ShotConfig(**kwargs)
 
 
-def _numbers(node, key: str = ""):
-    """(key path, value) of every number in a JSON document."""
+def _key_path(path) -> str:
+    """A JSON path as text: ``hamiltonian.toy.u``, ``tau_grid[1]``."""
+    key = ""
+    for part in path:
+        if isinstance(part, int):
+            key += f"[{part}]"
+        else:
+            key = f"{key}.{part}" if key else part
+    return key
+
+
+def _numbers(node, path: tuple = ()):
+    """(path, value) of every number in a JSON document."""
     if isinstance(node, dict):
         for k, v in node.items():
-            yield from _numbers(v, f"{key}.{k}" if key else k)
+            yield from _numbers(v, (*path, k))
     elif isinstance(node, list):
         for i, v in enumerate(node):
-            yield from _numbers(v, f"{key}[{i}]")
+            yield from _numbers(v, (*path, i))
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield key, node
+        yield path, node
 
 
 def load_config(path: str | Path, seed: int | None = None,
@@ -105,17 +116,22 @@ def load_config(path: str | Path, seed: int | None = None,
         return value
 
     doc = json.loads(path.read_text(), parse_float=finite, parse_constant=finite)
+    if seed is not None and isinstance(doc, dict):
+        # the override meets the same checks as the config's own seed
+        doc["seed"] = seed
     for key, value in _numbers(doc):
         try:
             float(value)
         except OverflowError:
-            raise ConfigError(f"invalid config {path}: {key} is an integer too "
-                              "large for a double") from None
+            raise ConfigError(f"invalid config {path}: {_key_path(key)} is an "
+                              "integer too large for a double") from None
     schema = _load_schema("config.schema.json")
     try:
         jsonschema.validate(doc, schema)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config {path}: {exc.message}") from exc
+        where = _key_path(exc.absolute_path)
+        raise ConfigError(f"invalid config {path}: "
+                          f"{where + ': ' if where else ''}{exc.message}") from exc
     cfg = RunConfig(
         hamiltonian=doc["hamiltonian"],
         algorithms=list(doc.get("algorithms", [ADAPT_GCIM])),
@@ -127,7 +143,7 @@ def load_config(path: str | Path, seed: int | None = None,
         n_beta=doc.get("n_beta"),
         exact_k=int(doc.get("exact_k", 4)),
         out_dir=Path(out_dir if out_dir is not None else doc.get("out_dir", "out")),
-        seed=int(seed if seed is not None else doc.get("seed", 0)),
+        seed=int(doc.get("seed", 0)),
         dump_matrices=bool(doc.get("dump_matrices", False)),
     )
     # reject a bad (algorithm, adapt) pair or shot cell before any algorithm runs

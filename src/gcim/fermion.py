@@ -10,20 +10,31 @@ Spin orbitals are indexed interleaved: spatial orbital g with spin up maps
 to qubit 2g, spin down to 2g+1.  up() and down() are the one definition of
 that layout; every other module derives its spin-orbital indices from them.
 
-jordan_wigner works on bare (x, z) integer masks.  Each term's ladder
-product is expanded one operator at a time, every product phase coming from
-pauli.mask_mul, and the products are summed in place into one dict keyed by
-(x, z); PauliStrings are built once, for the result.  The arithmetic is that
-of multiplying two-term PauliSums left to right and adding them up: the same
-coefficient sums in the same order, terms below COEFF_CUTOFF dropped after
-every ladder step and whenever an accumulated sum falls below it.  So the
-result matches that product form term for term, in insertion order and bit
-for bit, while the set-up cost grows linearly with the number of terms.
+jordan_wigner_all maps a list of operators in one numpy pass over uint64
+(x, z) masks, so registers hold at most 64 qubits; jordan_wigner is its
+one-operator case.  Terms go in runs of about _RUN_PRODUCTS product strings.
+Within a run, the terms with k ladder operators expand together, one ladder
+step at a time: every (term, string) row times X_p Z_{<p} and Y_p Z_{<p},
+with pauli.mask_mul's phase rule.  In one step a string gets at most two
+contributions, an X-type and a Y-type from two rows that differ only in the
+Z bit of a repeated index; they are summed in first-occurrence order and
+strings below COEFF_CUTOFF are dropped.  The fold then sums each (operator,
+x, z) key over the operator's terms in term order: a sum that falls below
+the cutoff is popped and a later contribution restarts it from 0j, and the
+keys come out in the order a dict would hold them.  That is the arithmetic
+of multiplying two-term PauliSums left to right and adding them up, so each
+image matches that product form term for term, in insertion order and bit
+for bit.
 """
 
 from __future__ import annotations
 
-from .pauli import COEFF_CUTOFF, PauliString, PauliSum, mask_mul
+from collections.abc import Sequence
+from itertools import repeat
+
+import numpy as np
+
+from .pauli import COEFF_CUTOFF, I_POWERS, PauliString, PauliSum
 
 
 def up(g: int) -> int:
@@ -134,53 +145,189 @@ class FermionOperator:
 _HALF = complex(0.5, 0.0)
 _CREATION_Y = complex(0.0, -0.5)
 _ANNIHILATION_Y = complex(0.0, 0.5)
+_PHASES = np.array(I_POWERS)
+_ONE = np.uint64(1)
+
+MASK_BITS = 64           # (x, z) masks are uint64
+_RUN_PRODUCTS = 1 << 12  # product strings per run: bounds the transient arrays
 
 
-def _ladder_step(prod: dict[tuple[int, int], complex], p: int, n_qubits: int,
-                 cy: complex) -> dict[tuple[int, int], complex]:
-    """prod times (0.5 X_p + cy Y_p) Z_{k<p}, the image of one ladder operator.
+def _magnitude(c: np.ndarray) -> np.ndarray:
+    # abs(complex) is C hypot; np.abs on complex arrays differs in the last bit
+    return np.hypot(c.real, c.imag)
 
-    The sums and the cutoff are those of PauliSum.__mul__ followed by
-    PauliSum.__init__, in the same order.
+
+def _pairs(term: np.ndarray, key: np.ndarray, candidate: np.ndarray):
+    """Rows that are not the later row of a pair, with that later row or -1.
+
+    A pair is two candidate rows of one term with equal keys.
     """
-    if p >= n_qubits:
-        raise IndexError(f"spin orbital {p} exceeds register of {n_qubits} qubits")
-    bx = 1 << p
-    strings = ((bx - 1, _HALF), ((bx << 1) - 1, cy))
-    out: dict[tuple[int, int], complex] = {}
-    for (ax, az), ca in prod.items():
-        for bz, cb in strings:
-            phase, x, z = mask_mul(ax, az, bx, bz)
-            key = (x, z)
-            out[key] = out.get(key, 0.0) + ca * cb * phase
-    return {key: c for key, c in out.items() if abs(c) >= COEFF_CUTOFF}
+    rows = np.flatnonzero(candidate)
+    if len(rows) < 2:
+        return np.arange(len(term)), np.full(len(term), -1)
+    # stable: the earlier row of a pair comes first
+    rows = rows[np.lexsort((key[rows], term[rows]))]
+    same = (term[rows[1:]] == term[rows[:-1]]) & (key[rows[1:]] == key[rows[:-1]])
+    partner = np.full(len(term), -1)
+    partner[rows[:-1][same]] = rows[1:][same]
+    first = np.ones(len(term), bool)
+    first[rows[1:][same]] = False
+    i = np.flatnonzero(first)
+    return i, partner[i]
 
 
-def jordan_wigner(op: FermionOperator, n_qubits: int) -> PauliSum:
-    """Map a fermionic operator to qubit space.
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * len(a), a.dtype)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def _expand(coeff: np.ndarray, ladders: np.ndarray, n_cre: np.ndarray):
+    """Ladder products of terms with k ladder operators each, all at once.
+
+    Returns rows (term, x, z, value), term by term and, within a term, in
+    the insertion order of multiplying two-term PauliSums left to right.
+    """
+    n_terms, k = ladders.shape
+    bits = _ONE << ladders.T.astype(np.uint64)
+    y_coeff = np.where(np.arange(k)[:, None] < n_cre, _CREATION_Y, _ANNIHILATION_Y)
+    # an index met earlier in the term pairs rows that differ in its Z bit only
+    repeated = ((ladders.T[:, None, :] == ladders.T[None, :, :])
+                & np.tri(k, k, -1, dtype=bool)[:, :, None]).any(axis=1)
+    x = np.zeros(n_terms, np.uint64)
+    term = np.arange(n_terms)
+    z = np.zeros(n_terms, np.uint64)
+    c = 0j + coeff
+    for s in range(k):
+        bx = bits[s][term]
+        ax = x[term]
+        zx = z ^ (bx - _ONE)  # times X_p Z_{k<p}
+        zy = zx ^ bx          # times Y_p Z_{k<p}
+        nx = ax ^ bx
+        # pauli.mask_mul's phase exponent, X_p and Y_p alike
+        k0 = np.bitwise_count(ax & z) + 2 * np.bitwise_count(z & bx)
+        vx = c * _HALF * _PHASES[(k0 - np.bitwise_count(nx & zx)) & 3]
+        vy = c * y_coeff[s][term] * _PHASES[(k0 + 1 - np.bitwise_count(nx & zy)) & 3]
+        # a pair's keys are the first row's X and Y strings, each summing an
+        # X-type and a Y-type contribution in first-occurrence order
+        i, q = _pairs(term, z & ~bx, repeated[s][term])
+        cx = 0j + vx[i]
+        cy = 0j + vy[i]
+        paired = q >= 0
+        cx[paired] += vy[q[paired]]
+        cy[paired] += vx[q[paired]]
+        term = np.repeat(term[i], 2)
+        z = _interleave(zx[i], zy[i])
+        c = _interleave(cx, cy)
+        keep = _magnitude(c) >= COEFF_CUTOFF
+        term, z, c = term[keep], z[keep], c[keep]
+        x ^= bits[s]
+    return term, x[term], z, c
+
+
+def _products(terms: list) -> tuple[np.ndarray, ...]:
+    """(op, x, z, value) rows of every term's ladder product, in term order."""
+    counts = np.array([len(cre) + len(ann) for _, _, cre, ann in terms])
+    parts = []
+    for k in np.unique(counts):
+        idx = np.flatnonzero(counts == k)
+        coeff = np.array([terms[i][1] for i in idx], dtype=complex)
+        ladders = np.array([terms[i][2] + terms[i][3] for i in idx], dtype=np.int64)
+        n_cre = np.array([len(terms[i][2]) for i in idx])
+        t, x, z, c = _expand(coeff, ladders, n_cre)
+        parts.append((idx[t], x, z, c))
+    term, x, z, c = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(term, kind="stable")
+    op = np.array([o for o, _, _, _ in terms])
+    return op[term[order]], x[order], z[order], c[order]
+
+
+def _fold(op, x, z, c, seq):
+    """Sum every (op, x, z) key's values in seq order, as a dict would.
+
+    A sum below the cutoff pops the key and the next value restarts it from
+    0j.  Returns the keys left with their sums and the seq at which each
+    was last inserted, which is its dict position.
+    """
+    order = np.lexsort((z, x, op))
+    op, x, z, c, seq = op[order], x[order], z[order], c[order], seq[order]
+    new = np.ones(len(op), bool)
+    new[1:] = (op[1:] != op[:-1]) | (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    start = np.flatnonzero(new)
+    count = np.diff(start, append=len(op))
+    total = np.zeros(len(start), complex)
+    inserted = np.zeros(len(start), np.int64)
+    present = np.zeros(len(start), bool)
+    group = np.arange(len(start))
+    for r in range(count.max(initial=0)):
+        group = group[count[group] > r]
+        item = start[group] + r
+        s = total[group] + c[item]
+        keep = _magnitude(s) >= COEFF_CUTOFF
+        inserted[group] = np.where(keep & ~present[group], seq[item], inserted[group])
+        present[group] = keep
+        total[group] = np.where(keep, s, 0.0)
+    left = start[present]
+    return op[left], x[left], z[left], total[present], inserted[present]
+
+
+def jordan_wigner_all(ops: Sequence[FermionOperator], n_qubits: int) -> list[PauliSum]:
+    """Map fermionic operators to qubit space, each to its own PauliSum.
 
     Uses a_p = (X_p + iY_p)/2 * prod_{k<p} Z_k with qubit index equal to
-    the spin-orbital index; the output equals the input as an operator on
+    the spin-orbital index; each output equals its input as an operator on
     the occupation-number basis (bit j of a statevector index = occupation
     of spin orbital j).
     """
-    total: dict[tuple[int, int], complex] = {}
-    if abs(op.constant) >= COEFF_CUTOFF:
-        total[(0, 0)] = 0.0 + complex(op.constant)
-    for (cre, ann), coeff in op.terms.items():
-        if abs(coeff) < COEFF_CUTOFF:
-            continue
-        prod = {(0, 0): 0.0 + complex(coeff)}
-        for p in cre:
-            prod = _ladder_step(prod, p, n_qubits, _CREATION_Y)
-        for p in ann:
-            prod = _ladder_step(prod, p, n_qubits, _ANNIHILATION_Y)
-        # in place, as PauliSum.__add__ would sum and then drop small terms
-        for key, c in prod.items():
-            c = total.get(key, 0.0) + c
-            if abs(c) >= COEFF_CUTOFF:
-                total[key] = c
-            else:
-                total.pop(key, None)
-    return PauliSum(n_qubits, {PauliString(x, z, n_qubits): c
-                               for (x, z), c in total.items()})
+    if n_qubits > MASK_BITS:
+        raise ValueError(f"{n_qubits} qubits exceed the {MASK_BITS}-qubit mask limit "
+                         "of the Jordan-Wigner map")
+    terms = []
+    for i, op in enumerate(ops):
+        if abs(op.constant) >= COEFF_CUTOFF:
+            terms.append((i, op.constant, (), ()))
+        for (cre, ann), coeff in op.terms.items():
+            if abs(coeff) < COEFF_CUTOFF:
+                continue
+            for p in cre + ann:
+                if not 0 <= p < n_qubits:
+                    raise IndexError(f"spin orbital {p} exceeds register of {n_qubits} qubits")
+            terms.append((i, coeff, cre, ann))
+    # runs of whole terms, about _RUN_PRODUCTS strings each; an operator
+    # cut by a run boundary carries its partial sums into the next run
+    out = [PauliSum(n_qubits) for _ in ops]
+    carry = None
+    seq = 0
+    start = 0
+    while start < len(terms):
+        stop, size = start, 0
+        while stop < len(terms) and size < _RUN_PRODUCTS:
+            size += 1 << (len(terms[stop][2]) + len(terms[stop][3]))
+            stop += 1
+        op, x, z, c = _products(terms[start:stop])
+        items = [op, x, z, c, np.arange(seq, seq + len(op))]
+        seq += len(op)
+        if carry is not None:
+            items = [np.concatenate(pair) for pair in zip(carry, items)]
+        folded = _fold(*items)
+        if stop < len(terms):
+            cut = folded[0] == terms[stop][0]
+            carry = tuple(a[cut] for a in folded)
+            folded = tuple(a[~cut] for a in folded)
+        op, x, z, c, inserted = folded
+        order = np.argsort(inserted)  # operator-major: seq grows with op
+        op, x, z, c = op[order], x[order], z[order], c[order]
+        ids, starts = np.unique(op, return_index=True)
+        bounds = [*starts.tolist(), len(op)]
+        for i, lo, hi in zip(ids.tolist(), bounds, bounds[1:]):
+            out[i] = PauliSum(n_qubits, dict(zip(
+                map(PauliString, x[lo:hi].tolist(), z[lo:hi].tolist(), repeat(n_qubits)),
+                c[lo:hi].tolist())))
+        start = stop
+    return out
+
+
+def jordan_wigner(op: FermionOperator, n_qubits: int) -> PauliSum:
+    """Map one fermionic operator to qubit space (see jordan_wigner_all)."""
+    return jordan_wigner_all([op], n_qubits)[0]

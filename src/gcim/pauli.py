@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -18,6 +19,10 @@ COEFF_CUTOFF = 1e-14
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+# letter form of four qubits, indexed by x nibble + 16 * z nibble
+_NIBBLE_LETTERS = tuple(
+    "".join(_XZ_TO_LETTER[(x >> j) & 1, (z >> j) & 1] for j in range(4))
+    for z in range(16) for x in range(16))
 
 
 class PauliFormatError(ValueError):
@@ -54,9 +59,9 @@ class PauliString:
 
     @property
     def label(self) -> str:
-        return "".join(
-            _XZ_TO_LETTER[((self.x >> j) & 1, (self.z >> j) & 1)] for j in range(self.n)
-        )
+        x, z = self.x, self.z
+        return "".join([_NIBBLE_LETTERS[(x >> j & 15) | (z >> j & 15) << 4]
+                        for j in range(0, self.n, 4)])[:self.n]
 
     @property
     def y_count(self) -> int:
@@ -94,8 +99,8 @@ def pauli_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
 class PauliSum:
     """Complex-weighted sum of PauliStrings on a common register.
 
-    Duplicate strings merge on construction, and terms with |coefficient|
-    < COEFF_CUTOFF are dropped.
+    The algebra merges duplicate strings in the dict it builds; construction
+    drops terms with |coefficient| < COEFF_CUTOFF.
     Instances are treated as immutable once built; all algebra returns
     new objects.  That is what lets statevector cache its compiled forms,
     one per state space, in the ``_compiled`` slot on first use.
@@ -107,13 +112,17 @@ class PauliSum:
         self.n_qubits = n_qubits
         self.terms: dict[PauliString, complex] = {}
         self._compiled = None
-        if terms:
-            for p, c in terms.items():
-                if p.n != n_qubits:
-                    raise ValueError("term register size mismatch")
-                self.terms[p] = self.terms.get(p, 0.0) + complex(c)
-            for p in [p for p, c in self.terms.items() if abs(c) < COEFF_CUTOFF]:
-                del self.terms[p]
+        # a dict's keys are distinct, so one pass: each coefficient is added to
+        # a complex zero and kept unless it falls below the cutoff.  A complex
+        # zero, not 0.0: Python 3.14 adds a float to the real part only, which
+        # would keep a -0.0 imaginary part that complex (and numpy) addition
+        # makes +0.0
+        for p, c in (terms or {}).items():
+            if p.n != n_qubits:
+                raise ValueError("term register size mismatch")
+            c = 0j + complex(c)
+            if abs(c) >= COEFF_CUTOFF:
+                self.terms[p] = c
 
     @classmethod
     def from_label_dict(cls, d: dict[str, complex]) -> "PauliSum":
@@ -137,7 +146,7 @@ class PauliSum:
             raise ValueError("register size mismatch")
         out = dict(self.terms)
         for p, c in other.terms.items():
-            out[p] = out.get(p, 0.0) + c
+            out[p] = out.get(p, 0j) + c
         return PauliSum(self.n_qubits, out)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
@@ -151,7 +160,7 @@ class PauliSum:
             for pa, ca in self.terms.items():
                 for pb, cb in other.terms.items():
                     ph, pc = pauli_mul(pa, pb)
-                    out[pc] = out.get(pc, 0.0) + ca * cb * ph
+                    out[pc] = out.get(pc, 0j) + ca * cb * ph
             return PauliSum(self.n_qubits, out)
         out = {p: c * other for p, c in self.terms.items()}
         return PauliSum(self.n_qubits, out)
@@ -177,13 +186,15 @@ class PauliSum:
         if not self.terms:
             return "(empty)"
         parts = []
-        for p, c in self.sorted_terms():
+        # one label per term: it is both the sort key and the text
+        for label, c in sorted(((p.label, c) for p, c in self.terms.items()),
+                               key=itemgetter(0)):
             if abs(c.imag) < COEFF_CUTOFF:
                 val, fmt = c.real, f"{abs(c.real):.12g}"
                 sign = "-" if val < 0 else "+"
             else:
                 sign, fmt = "+", f"({c.real:.12g}{c.imag:+.12g}j)"
-            parts.append(f"{sign}{fmt}·{p.label}")
+            parts.append(f"{sign}{fmt}·{label}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

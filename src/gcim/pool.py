@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .fermion import FermionOperator, down, jordan_wigner, up
+from .fermion import FermionOperator, down, jordan_wigner_all, up
 from .pauli import PauliSum
 from .statevector import bind_generators
 
@@ -103,15 +103,16 @@ def _fingerprint(fwd: FermionOperator) -> tuple:
 def build_pool(n_spatial: int) -> list[PoolOperator]:
     """Deterministic spin-adapted pool over n_spatial spatial orbitals.
 
-    The qubit forms are bound together to their excitation terms, so the
-    statevector engine compiles every generator from those terms by
-    determinant string rules, all of them at once per state space; the
-    Jordan-Wigner images stay for pool.json and the Pauli-level checks.
+    Every Jordan-Wigner image comes from one jordan_wigner_all pass over
+    the whole pool.  The qubit forms are bound together to their excitation
+    terms, so the statevector engine compiles every generator from those
+    terms by determinant string rules, all of them at once per state space;
+    the images stay for pool.json and the Pauli-level checks.
     """
     if n_spatial < 2:
         raise ValueError("pool needs at least 2 spatial orbitals")
     n_qubits = 2 * n_spatial
-    ops: list[PoolOperator] = []
+    elements: list[tuple[str, tuple[int, ...], FermionOperator, str]] = []
     seen: set[tuple] = set()
 
     def emit(kind: str, spatial: tuple[int, ...], raw: FermionOperator, label: str):
@@ -125,8 +126,7 @@ def build_pool(n_spatial: int) -> list[PoolOperator]:
         if fp in seen:
             return
         seen.add(fp)
-        ops.append(PoolOperator(kind, spatial, skew,
-                                jordan_wigner(skew, n_qubits), label))
+        elements.append((kind, spatial, skew, label))
 
     for p in range(1, n_spatial):
         for q in range(p):
@@ -139,6 +139,9 @@ def build_pool(n_spatial: int) -> list[PoolOperator]:
                  _double_singlet_raw(p, q, r, s), f"dS({p},{q},{r},{s})")
             emit(DOUBLE_TRIPLET, (p, q, r, s),
                  _double_triplet_raw(p, q, r, s), f"dT({p},{q},{r},{s})")
+    images = jordan_wigner_all([skew for _, _, skew, _ in elements], n_qubits)
+    ops = [PoolOperator(kind, spatial, skew, image, label)
+           for (kind, spatial, skew, label), image in zip(elements, images)]
     # bound to the fermionic forms alone: a bound method would reach back to
     # the qubit form, whose cache holds the binding
     bind_generators([op.qubit for op in ops],

@@ -18,6 +18,7 @@ form to the sorted index multiset.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .adapt import AdaptTrace
@@ -68,6 +69,8 @@ def _ladder_count(op: FermionOperator, n_qubits: int) -> int:
     return sum(2 * (p.weight - 1) for p in image.terms if p.weight >= 2)
 
 
+# a recipe repeats the operators of the one before it: each pair is counted once
+@functools.cache
 def _pair_count(cre: tuple[int, ...], ann: tuple[int, ...], scheme: str,
                 n_qubits: int) -> int:
     indices = tuple(cre) + tuple(ann)

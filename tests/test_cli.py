@@ -148,6 +148,19 @@ def test_seed_and_out_overrides(tmp_path):
     assert summary["seed"] == 11
 
 
+@pytest.mark.parametrize("verb", ["run", "noise"])
+@pytest.mark.parametrize("origin", ["flag", "config"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, verb, origin):
+    # noise used to run the whole adapt-gcim loop before numpy's SeedSequence
+    # refused the seed, and run recorded it
+    doc = _toy_doc(tmp_path, seed=-1 if origin == "config" else 7)
+    cfg_path = _write_config(tmp_path, doc)
+    argv = [verb, "--config", str(cfg_path)] + (["--seed", "-1"] if origin == "flag" else [])
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(cfg_path, seed=-1 if origin == "flag" else None)
+    _assert_input_error(tmp_path, capsys, argv, str(cfg_path), "seed")
+
+
 def test_compare_needs_two_algorithms(tmp_path):
     cfg_path = _write_config(tmp_path, _toy_doc(tmp_path))
     assert main(["compare", "--config", str(cfg_path)]) == EXIT_ERROR
@@ -540,6 +553,14 @@ def test_config_integer_too_large_for_a_double_is_a_cli_error(tmp_path, capsys, 
     cfg_path.write_text(cfg_path.read_text().replace(old, new))
     _assert_input_error(tmp_path, capsys, [verb, "--config", str(cfg_path)],
                         str(cfg_path), key, "too large for a double")
+
+
+def test_schema_error_names_a_list_entry_as_the_overflow_check_does(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, _toy_doc(tmp_path))
+    cfg_path.write_text(cfg_path.read_text().replace(
+        '"seed": 7', '"seed": 7, "tau_grid": [1e10, 0.5]'))
+    _assert_input_error(tmp_path, capsys, ["noise", "--config", str(cfg_path)],
+                        str(cfg_path), "tau_grid[1]: 0.5 is less than the minimum of 1")
 
 
 def test_toy_occupation_overrides(tmp_path):

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gcim import fermion
 from gcim.fcidump import SpatialIntegrals, assemble_hamiltonian, parse_fcidump
-from gcim.fermion import FermionOperator, jordan_wigner
+from gcim.fermion import FermionOperator, jordan_wigner, jordan_wigner_all
 from gcim.pauli import PauliSum, jw_to_matrix
 from gcim.pool import build_pool
 from gcim.toy import toy_integrals
@@ -114,6 +117,25 @@ def test_jw_index_overflow():
     op.add_term(1.0, (4,), (0,))
     with pytest.raises(IndexError):
         jordan_wigner(op, 4)
+    with pytest.raises(IndexError):
+        jordan_wigner_all([FermionOperator(1.0), op], 4)
+
+
+def test_jw_64_qubit_register_is_exact():
+    op = FermionOperator(0.25)
+    op.add_term(1.0, (63,), (0,))
+    op.add_term(-0.5j, (63, 40), (40, 2))
+    op.add_term(0.75, (63,), (63,))
+    op = op - op.dagger()
+    assert exact_terms(jordan_wigner(op, 64)) == exact_terms(jordan_wigner_reference(op, 64))
+    assert any(p.x >> 63 for p in jordan_wigner(op, 64).terms)
+
+
+def test_jw_rejects_a_register_past_the_mask_width():
+    op = FermionOperator()
+    op.add_term(1.0, (1,), (0,))
+    with pytest.raises(ValueError, match="64-qubit mask limit"):
+        jordan_wigner(op, 65)
 
 
 @given(st.integers(0, 5), st.integers(0, 5))
@@ -144,6 +166,35 @@ def test_jw_matches_product_reference_exactly(constant, raw_terms):
     op = FermionOperator(constant, {(cre, ann): complex(c) for cre, ann, c in raw_terms})
     assert exact_terms(jordan_wigner(op, 5)) == \
         exact_terms(jordan_wigner_reference(op, 5))
+
+
+_operators = st.lists(st.tuples(_coeffs, st.lists(st.tuples(_indices, _indices, _coeffs),
+                                                  max_size=6)),
+                      min_size=1, max_size=4)
+
+
+@given(_operators)
+# the same string in neighbouring operators: merged, it would double or cancel
+@example([(0.0, [((1,), (0,), 1.0)]), (0.0, [((1,), (0,), 1.0)])])
+@example([(1.0, [((1,), (0,), 1.0)]), (-1.0, [((1,), (0,), -1.0)])])
+# operators with no term left beside ones with terms
+@example([(1e-15, []), (0.0, [((2,), (2,), 1.0)]), (0.0, [])])
+def test_jw_batch_matches_product_reference_exactly(raw_ops):
+    ops = [FermionOperator(constant, {(cre, ann): complex(c) for cre, ann, c in terms})
+           for constant, terms in raw_ops]
+    want = [exact_terms(jordan_wigner_reference(op, 5)) for op in ops]
+    # one run, and one run per term: every operator cut by run boundaries
+    for run_products in (fermion._RUN_PRODUCTS, 1):
+        with mock.patch.object(fermion, "_RUN_PRODUCTS", run_products):
+            images = jordan_wigner_all(ops, 5)
+        assert [exact_terms(image) for image in images] == want
+
+
+@pytest.mark.parametrize("n_spatial", [2, 3, 4, 5, 6])
+def test_pool_images_match_product_reference(n_spatial):
+    for op in build_pool(n_spatial):
+        assert exact_terms(op.qubit) == \
+            exact_terms(jordan_wigner_reference(op.fermionic, 2 * n_spatial))
 
 
 def _hubbard_chain(n_sites: int, t: float, u: float) -> SpatialIntegrals:

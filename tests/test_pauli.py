@@ -178,6 +178,15 @@ def test_canonical_text_form():
     assert "-0.25·IZ" in text and "+0.5·ZI" in text
 
 
+def test_construction_adds_a_complex_zero():
+    # as the numpy Jordan-Wigner kernel does: that clears a -0.0 imaginary
+    # part, which float + complex keeps on Python 3.14 and later
+    z = PauliString.identity(1)
+    c = complex(0.5, -0.0)
+    assert repr(PauliSum(1, {z: c}).terms[z]) == repr(complex((np.zeros(1, complex) + c)[0])) \
+        == "(0.5+0j)"
+
+
 def test_sum_algebra_against_dense():
     rng = np.random.default_rng(5)
     from helpers import random_hermitian_sum

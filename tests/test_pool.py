@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,6 +191,29 @@ def test_pool_json_dump():
     assert {"index", "label", "kind", "spatial", "forward_terms", "pauli"} \
         <= set(dump[0])
     assert dump[0]["label"] == pool[0].label
+
+
+# pool.json text of build_pool(n): {4: committed file, 5 and 6: sha256}
+_GOLDEN_POOL = Path(__file__).parent / "data" / "golden" / "h4_pool.json"
+_POOL_SHA256 = {
+    5: "02d22d133fa15fbaf296e83c417e7b19d389353a4aabeae07a9d011f9158324b",
+    6: "f5679354f7ede4fc49a75eddf911c59f70656a7077f51ec1c40aa5274829abcb",
+}
+
+
+def _pool_json_text(n_spatial):
+    return json.dumps(pool_to_json(build_pool(n_spatial)), indent=1) + "\n"
+
+
+def test_pool_json_matches_golden_text():
+    # labels, order, forward terms and every Pauli coefficient, byte for byte
+    assert _pool_json_text(4) == _GOLDEN_POOL.read_text()
+
+
+@pytest.mark.parametrize("n_spatial", sorted(_POOL_SHA256))
+def test_pool_json_matches_golden_hash(n_spatial):
+    text = _pool_json_text(n_spatial).encode()
+    assert hashlib.sha256(text).hexdigest() == _POOL_SHA256[n_spatial]
 
 
 def test_pool_requires_two_spatial():
