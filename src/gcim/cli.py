@@ -33,6 +33,7 @@ from .shots import MatrixEstimators, ShotConfig, mc_sweep
 from .statevector import ExactSpectrum, StateVector, exact_spectrum, hf_state
 from .subspace import (
     BasisRecipe,
+    ProjectedPair,
     SubspaceBasis,
     build_matrices,
     excitation_energies,
@@ -74,8 +75,7 @@ class RunConfig:
         return AdaptConfig(algorithm=algorithm, **self.adapt_kwargs)
 
     def shot_config(self, **overrides) -> ShotConfig:
-        kwargs = {"seed": self.seed, **self.shot_kwargs, **overrides}
-        return ShotConfig(**kwargs)
+        return ShotConfig(seed=self.seed, **self.shot_kwargs, **overrides)
 
 
 def _key_path(path) -> str:
@@ -374,8 +374,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def _noise_basis(trace: AdaptTrace, system: System) -> SubspaceBasis:
-    """Leading states of the trace's basis up to the earliest iteration
-    whose noiseless energy already matches the final one.
+    """Leading states of the trace's basis, with the leading block of its
+    pair, up to the earliest iteration whose energy matches the final one.
 
     Sweeping noise over this subspace (rather than the fully converged,
     rank-deficient one) isolates finite-shot effects from basis redundancy.
@@ -383,9 +383,12 @@ def _noise_basis(trace: AdaptTrace, system: System) -> SubspaceBasis:
     d = next((rec.subspace_dim for rec in trace.records if rec.epsilon0 is not None
               and abs(rec.epsilon0 - trace.final_energy) <= 1e-12),
              trace.records[-1].subspace_dim)
-    return SubspaceBasis(reference=system.reference, pool=system.pool,
-                         recipes=trace.basis.recipes[:d],
-                         states=trace.basis.states[:d])
+    h_mat, s_mat = build_matrices(trace.basis, system.h)   # cached by the run
+    basis = SubspaceBasis(reference=system.reference, pool=system.pool,
+                          recipes=trace.basis.recipes[:d], states=trace.basis.states[:d])
+    basis.pair = ProjectedPair(system.h, trace.basis.states[:d], trace.basis.pair.h_kets[:d],
+                               h_mat[:d, :d], s_mat[:d, :d])
+    return basis
 
 
 def cmd_noise(cfg: RunConfig) -> int:
@@ -398,13 +401,10 @@ def cmd_noise(cfg: RunConfig) -> int:
     trace = run_algorithm(system.h, system.pool, system.reference,
                           cfg.adapt_config(ADAPT_GCIM))
     basis = _noise_basis(trace, system)
-    d = len(basis)
-    h_mat, s_mat = build_matrices(trace.basis, system.h)
-    h_mat, s_mat = h_mat[:d, :d], s_mat[:d, :d]
     cells = [cfg.shot_config(tau=float(tau), importance_sampling=is_flag)
              for tau in cfg.tau_grid for is_flag in (False, True)]
-    summaries = mc_sweep(h_mat, s_mat, MatrixEstimators.build(basis, system.h),
-                         cells, runs=cfg.noise_runs)
+    summaries = mc_sweep(*build_matrices(basis, system.h),
+                         MatrixEstimators.build(basis, system.h), cells, runs=cfg.noise_runs)
     rows = [[repr(cell.tau), int(cell.importance_sampling), repr(summary.mean_error),
              repr(summary.ci_low), repr(summary.ci_high)]
             for cell, summary in zip(cells, summaries)]

@@ -7,7 +7,9 @@ estimator Xi = sum_k c_k Lambda_k / N_k is unbiased with variance
 sum_k c_k^2 (1 - p_k^2) / N_k.  A Gaussian mode reproduces the large-N
 analytic treatment.  Importance sampling allocates per-term shots
 proportionally to |c_k| at a fixed total of tau * n_terms; overlap entries
-are a single identity term measured with s_multiplier-times more shots.
+are a single identity term measured with s_multiplier-times more shots.  The
+p_k are evaluated on the basis states' own space (the reference's sector),
+and the overlaps are read from the basis's projected S (build_matrices).
 
 Stream contract: entry (i, j) of run r draws from
 default_rng(SeedSequence((seed, r, i, j, tag))), tag 0 for H and 1 for S,
@@ -29,6 +31,7 @@ from .subspace import (
     DEFAULT_S_THRESHOLD,
     NOISY_S_THRESHOLD,
     SubspaceBasis,
+    build_matrices,
     solve_gevp,
 )
 
@@ -93,8 +96,7 @@ def _real(values: np.ndarray, what: str) -> np.ndarray:
 def exact_decomposition(basis: SubspaceBasis, h: PauliSum, i: int, j: int
                         ) -> EntryEstimator:
     """Per-term true expectations for entry (i, j) of the projected H."""
-    coeffs, values = pauli_expectations(basis.states[i].amplitudes[None], h,
-                                        basis.states[j].amplitudes[None])
+    coeffs, values = pauli_expectations(basis.states[i:i + 1], h, basis.states[j:j + 1])
     return EntryEstimator(_real(coeffs, "Hamiltonian coefficient"),
                           _real(values[0, 0], "entry expectation"))
 
@@ -180,22 +182,19 @@ class MatrixEstimators:
 
     @classmethod
     def build(cls, basis: SubspaceBasis, h: PauliSum) -> "MatrixEstimators":
-        """Decompose every upper-triangle entry from the stacked basis states,
-        embedded into the full register, where the Pauli strings act."""
-        if not basis.states:
-            raise ValueError("empty basis")
-        amps = np.array([state.amplitudes for state in basis.states])
-        d = len(amps)
+        """Decompose every upper-triangle entry: p-values from the basis states
+        on their own space, overlaps from the basis's cached projected pair."""
+        _, s_mat = build_matrices(basis, h)
+        d = len(s_mat)
         rows, cols = np.triu_indices(d)
         # one bra at a time: row i of the upper triangle is entries (i, i..d-1)
         p_values = np.empty((len(rows), len(h)))
         for i, start in enumerate(np.flatnonzero(cols == rows)):
-            coeffs, values = pauli_expectations(amps[i:i + 1], h, amps[i:])
+            coeffs, values = pauli_expectations(basis.states[i:i + 1], h, basis.states[i:])
             p_values[start:start + d - i] = _real(values[0], "entry expectation")
-        overlaps = np.array([np.vdot(amps[i], amps[j]) for i, j in zip(rows, cols)])
         return cls(d, _real(coeffs, "Hamiltonian coefficient"),
                    np.clip(p_values, -1.0, 1.0, out=p_values),
-                   np.clip(_real(overlaps, "overlap"), -1.0, 1.0))
+                   np.clip(_real(s_mat[rows, cols], "overlap"), -1.0, 1.0))
 
     def matrix(self, values: np.ndarray) -> np.ndarray:
         """The symmetric (dim, dim) matrix with these upper-triangle entries."""
@@ -250,8 +249,6 @@ class MatrixEstimators:
 class McSummary:
     """Monte Carlo error statistics of the lowest noisy eigenvalue."""
 
-    runs: int
-    exact_epsilon0: float
     mean_error: float
     median_error: float
     ci_low: float
@@ -272,6 +269,8 @@ def mc_sweep(h_mat: np.ndarray, s_mat: np.ndarray, estimators: MatrixEstimators,
     """
     if runs < 2:
         raise ValueError("need at least 2 runs")
+    if not cfgs:
+        raise ValueError("no shot cells to sweep")
     exact = solve_gevp(h_mat, s_mat, DEFAULT_S_THRESHOLD).ground_energy
     h_vals, s_vals = estimators.sample(cfgs, range(runs))
     summaries = []
@@ -283,7 +282,6 @@ def mc_sweep(h_mat: np.ndarray, s_mat: np.ndarray, estimators: MatrixEstimators,
             errors[r] = abs(res.ground_energy - exact)
             kept_dims.append(res.kept_dim)
         summaries.append(McSummary(
-            runs=runs, exact_epsilon0=exact,
             mean_error=float(errors.mean()),
             median_error=float(np.median(errors)),
             ci_low=float(np.percentile(errors, 2.5)),

@@ -5,8 +5,9 @@ Convention: bit j of a basis index is the occupation of spin orbital j
 states of a Space: hf_state's space is the reference determinant's (n_alpha,
 n_beta) sector, which every pool generator and every molecular Hamiltonian
 conserves, and from_array and basis_state give the full register of all 2^n
-indices, which runs the same code.  StateVector.amplitudes is the read-only
-embedding into the full register, for oracles, tests and debug output.
+indices, which runs the same code.  StateVector.amplitudes, the read-only
+embedding into the full register, is left to oracles, tests and inner
+products across spaces; no kernel here, pauli_expectations included, reads it.
 
 Each PauliSum is compiled once per space to a sparse CSR matrix over that
 space's indices, real whenever every entry is real (as for all FCIDUMP
@@ -522,20 +523,19 @@ def exp_apply(a: PauliSum, theta: float, v: StateVector) -> StateVector:
     return StateVector(v.space, data)
 
 
-def pauli_expectations(bras: np.ndarray, h: PauliSum, kets: np.ndarray
+def pauli_expectations(bras: list[StateVector], h: PauliSum, kets: list[StateVector]
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients c_k of h and every <bras[a]|P_k|kets[b]>.
-
-    bras (A, 2^n) and kets (B, 2^n) are stacked amplitudes; the values are
-    (A, B, T) with terms in h.sorted_terms() order, so <bras[a]|h|kets[b]>
-    = sum_k c_k values[a, b, k].  The strings sharing an X mask x map j to
-    j ^ x, so each group shifts the conjugated bras once; per pair its
-    strings are one signed sum over conj(bra[j ^ x]) * ket[j].  That sum is
-    the same product whatever the stack, so a pair's values do not depend
-    on what else is evaluated with it, to the last bit.
-    """
-    if not bras.shape[-1] == kets.shape[-1] == 1 << h.n_qubits:
-        raise ValueError("register size mismatch")
+    """Coefficients c_k of h and every <bras[a]|P_k|kets[b]>, over the states'
+    one space: values (A, B, T), terms in h.sorted_terms() order, so
+    <bras[a]|h|kets[b]> = sum_k c_k values[a, b, k].  The strings sharing an
+    X mask x map j to j ^ x, so each group gathers the conjugated bras at the
+    positions of the indices j ^ x once, zero where j ^ x leaves the space;
+    per pair its strings are one signed sum over conj(bra[j ^ x]) * ket[j].
+    That sum is the same product whatever the stack, so a pair's values do
+    not depend on what else is evaluated with it, to the last bit."""
+    space = kets[0].space
+    if any(v.space is not space for v in (*bras, *kets)) or h.n_qubits != space.n_qubits:
+        raise ValueError("states on different spaces or registers")
     cache = _cache(h)
     if "terms" not in cache:
         ordered = h.sorted_terms()
@@ -549,13 +549,15 @@ def pauli_expectations(bras: np.ndarray, h: PauliSum, kets: np.ndarray
               np.array([I_POWERS[ordered[k][0].y_count % 4] for k in ks]))
              for x, ks in groups.items()])
     coeffs, groups = cache["terms"]
-    idx = np.arange(1 << h.n_qubits)
+    idx = space.indices
+    bra_data = np.array([v.data for v in bras])
     values = np.empty((len(bras), len(kets), coeffs.size), dtype=complex)
     for x, ks, z, phase in groups:
         signs = _signs(idx, z)
-        for a, shifted in enumerate(np.conj(bras[:, idx ^ x])):
+        pos, inside = space.positions(idx ^ x)
+        for a, shifted in enumerate(np.where(inside, np.conj(bra_data[:, pos]), 0)):
             for b, ket in enumerate(kets):
-                values[a, b, ks] = phase * (signs @ (shifted * ket))
+                values[a, b, ks] = phase * (signs @ (shifted * ket.data))
     return coeffs, values
 
 

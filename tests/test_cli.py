@@ -126,6 +126,15 @@ def test_removed_adapt_keys_rejected(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("tau", 1e6), ("importance_sampling", True)])
+def test_removed_shot_keys_rejected(tmp_path, capsys, key, value):
+    # gcim noise sets both per cell, so a config value was never read
+    doc = _toy_doc(tmp_path, shots={key: value}, tau_grid=[1e10], noise_runs=2)
+    assert main(["noise", "--config", str(_write_config(tmp_path, doc))]) == EXIT_ERROR
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "noise.csv").exists()
+
+
 def test_non_positive_s_threshold_rejected(tmp_path, capsys):
     doc = _toy_doc(tmp_path, adapt={"t_usr": 3, "s_threshold": -1.0})
     cfg_path = _write_config(tmp_path, doc)
@@ -226,6 +235,42 @@ def test_noise_rejects_shot_counts_past_int64(tmp_path, capsys):
     assert main(["noise", "--config", str(cfg_path)]) == EXIT_ERROR
     assert "int64" in capsys.readouterr().err
     assert not (tmp_path / "out" / "noise.csv").exists()
+
+
+def test_noise_rejects_empty_tau_grid(tmp_path, capsys):
+    # an empty grid used to run the whole adapt-gcim loop and estimator build
+    # before the sampler refused zero cells
+    doc = _toy_doc(tmp_path, tau_grid=[], noise_runs=2)
+    cfg_path = _write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="tau_grid"):
+        load_config(cfg_path)
+    assert main(["noise", "--config", str(cfg_path)]) == EXIT_ERROR
+    assert "tau_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "noise.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["toy", "h4"])
+def test_noise_never_embeds_a_state_into_the_full_register(tmp_path, monkeypatch, h4_path,
+                                                           source):
+    # the shot model reads the run's sector states and projected pair; the
+    # 2^n embedding is left to oracles and tests
+    from gcim import statevector
+
+    hamiltonian = {"fcidump": str(h4_path)} if source == "h4" else {"toy": {}}
+    doc = _toy_doc(tmp_path, hamiltonian=hamiltonian, shots={"mode": "binomial-exact"},
+                   tau_grid=[1e10, 1e12], noise_runs=4)
+    cfg_path = _write_config(tmp_path, doc)
+    assert main(["noise", "--config", str(cfg_path), "--out", str(tmp_path / "free")]) == EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("embedded into the full register")
+
+    monkeypatch.setattr(statevector.StateVector, "amplitudes", property(refuse))
+    monkeypatch.setattr(statevector, "full_space", refuse)
+    assert main(["noise", "--config", str(cfg_path)]) == EXIT_OK
+    written = (tmp_path / "out" / "noise.csv").read_bytes()
+    assert written == (tmp_path / "free" / "noise.csv").read_bytes()
+    assert len(written.decode().splitlines()) == 5
 
 
 def test_noise_rejects_other_algorithms(tmp_path, capsys):
@@ -354,10 +399,17 @@ def test_noise_basis_holds_trace_states(toy):
     h, pool, ref = toy
     trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
     basis = _noise_basis(trace, System(h, pool, ref, "toy"))
-    assert 0 < len(basis) <= len(trace.basis)
-    assert len(basis.states) == len(basis)
+    d = len(basis)
+    assert 0 < d <= len(trace.basis)
+    assert len(basis.states) == d
     assert all(a is b for a, b in zip(basis.states, trace.basis.states))
-    assert basis.recipes == trace.basis.recipes[:len(basis)]
+    assert basis.recipes == trace.basis.recipes[:d]
+    # it holds the leading block of the run's pair, so nothing is applied again
+    h_fin, s_fin = build_matrices(trace.basis, h)
+    assert all(a is b for a, b in zip(basis.pair.h_kets, trace.basis.pair.h_kets[:d]))
+    h_mat, s_mat = build_matrices(basis, h)
+    assert h_mat is basis.pair.h_mat and s_mat is basis.pair.s_mat
+    assert np.array_equal(h_mat, h_fin[:d, :d]) and np.array_equal(s_mat, s_fin[:d, :d])
 
 
 def test_shipped_configs_load():
@@ -594,8 +646,9 @@ def test_schema_defaults_match_code(tmp_path):
         {f.name for f in dataclasses.fields(adapt)} - {"algorithm"}
     for key, spec in props["adapt"]["properties"].items():
         assert getattr(adapt, key) == spec["default"], key
+    # gcim noise sets tau and importance sampling per cell of its sweep
     assert set(props["shots"]["properties"]) == \
-        {f.name for f in dataclasses.fields(shots)} - {"seed"}
+        {f.name for f in dataclasses.fields(shots)} - {"seed", "tau", "importance_sampling"}
     for key, spec in props["shots"]["properties"].items():
         assert getattr(shots, key) == spec["default"], key
     cfg = load_config(_write_config(tmp_path, {"hamiltonian": {"toy": {}}}))

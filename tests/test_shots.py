@@ -70,6 +70,48 @@ def test_exact_decomposition_matches_per_term_oracle(h4):
             assert np.max(np.abs(est.p_values - expected)) < 1e-12
 
 
+def test_sector_p_values_match_full_register_oracle(data_dir):
+    # toy U/t = 8 plus XIII and IZXI, which map every (1, 1) state out of the
+    # sector: on the sector they read exactly 0, as their full-register
+    # expectations between sector states do
+    from gcim.pauli import PauliSum, jw_to_matrix, parse_pauli_json
+    from gcim.pool import build_pool
+    from gcim.statevector import hf_state, pauli_expectations
+
+    h = parse_pauli_json((data_dir / "toy_u8_sector_breaking.json").read_text())
+    basis = SubspaceBasis(reference=hf_state(4, 1, 1), pool=build_pool(2))
+    for r in [BasisRecipe(), BasisRecipe(((0, 0.7),)), BasisRecipe(((0, 0.7), (1, -0.4)))]:
+        basis.append(r)
+    space = basis.reference.space
+    terms = h.sorted_terms()
+    coeffs, values = pauli_expectations(basis.states, h, basis.states)
+    assert coeffs.tolist() == [c for _, c in terms]
+    leaving = [k for k, (p, _) in enumerate(terms)
+               if not space.positions(space.indices ^ p.x)[1].any()]
+    assert {terms[k][0].label for k in leaving} == {"XIII", "IZXI"}
+    assert np.all(values[:, :, leaving] == 0)
+    amps = [state.amplitudes for state in basis.states]
+    for k, (p, _) in enumerate(terms):
+        m = jw_to_matrix(PauliSum(h.n_qubits, {p: 1.0}))
+        expected = np.array([[np.vdot(bra, m @ ket) for ket in amps] for bra in amps])
+        assert np.max(np.abs(values[:, :, k] - expected)) <= 1e-15
+
+
+def test_overlaps_are_the_projected_pair(h4):
+    # the estimators read S from the basis's pair instead of recomputing it
+    # on this basis a full-register vdot differs from the pair in the last bit
+    h, pool, ref = h4
+    rng = np.random.default_rng(0)
+    basis = SubspaceBasis(reference=ref, pool=pool)
+    for _ in range(8):
+        basis.append(BasisRecipe(tuple((int(rng.integers(len(pool))), float(rng.uniform(-1, 1)))
+                                       for _ in range(3))))
+    ests = MatrixEstimators.build(basis, h)
+    _, s_mat = build_matrices(basis, h)
+    rows, cols = ests.entries
+    assert np.array_equal(ests.overlaps, np.clip(s_mat[rows, cols].real, -1.0, 1.0))
+
+
 def test_zero_coefficient_terms_absent(toy):
     # PauliSum drops zero coefficients, so every term carries weight
     h, basis = _toy_noise_setup(toy)
@@ -225,6 +267,8 @@ def test_mc_experiment_zero_noise_limit(toy):
     assert len(summary.kept_dims) == 10
     with pytest.raises(ValueError):
         mc_experiment(h_mat, s_mat, basis, h, cfg, runs=1)
+    with pytest.raises(ValueError, match="no shot cells"):
+        mc_sweep(h_mat, s_mat, MatrixEstimators.build(basis, h), [], runs=10)
 
 
 def test_mc_experiment_error_shrinks_with_tau(toy):

@@ -12,6 +12,7 @@ from gcim.statevector import (
     exact_spectrum,
     exp_apply,
     hf_state,
+    pauli_expectations,
 )
 
 from helpers import dense_from_sum, random_hermitian_sum, random_state
@@ -425,3 +426,13 @@ def test_bound_generator_terms_must_conserve_both_spin_counts():
     bind_generators([gen], [lambda: [((2,), (1,), 1.0)]])
     with pytest.raises(ValueError, match="spin count"):
         exp_apply(gen, 0.3, hf_state(4, 1, 1))
+
+
+def test_pauli_expectations_need_one_space(toy):
+    # a bra and a ket on different spaces would gather from the wrong indices
+    h, _, ref = toy
+    full = StateVector.from_array(ref.amplitudes)
+    coeffs, values = pauli_expectations([full], h, [full])
+    assert coeffs @ values[0, 0] == pytest.approx(apply_paulisum(h, ref).inner(ref), abs=1e-12)
+    with pytest.raises(ValueError, match="spaces"):
+        pauli_expectations([ref], h, [full])
