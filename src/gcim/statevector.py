@@ -20,9 +20,11 @@ compile in one vectorized pass over every term by determinant string rules,
 into one stacked CSR whose row block l is generator l's matrix, exactly
 antisymmetric and free of cancellation residues.  apply_generators is one
 product with that stack.  Generator exponentials are exact: the compiled
-generator splits into small connected blocks, each eigendecomposed once, so
-exp(theta * A) is one batched product per block size.  The dense path exists
-separately as an oracle (pauli.jw_to_matrix).
+generator splits into small connected blocks, each eigendecomposed once into
+spectral projectors, cached as one stacked sparse matrix, so exp(theta * A)|v>
+is one product with that stack and a sum weighted by sin(theta w) and
+cos(theta w) - 1.  The dense path exists separately as an oracle
+(pauli.jw_to_matrix).
 """
 
 from __future__ import annotations
@@ -101,15 +103,15 @@ def sector_space(n_qubits: int, n_alpha: int, n_beta: int) -> Space:
 
 class _Compiled:
     """One PauliSum compiled over one space: its matrix, the largest entry
-    it sends out of the space, and the generator blocks, built the first
-    time exp_apply needs them."""
+    it sends out of the space, and, the first time exp_apply needs them, the
+    generator's projector stack and frequencies (see _exp_stack)."""
 
-    __slots__ = ("matrix", "leak", "blocks")
+    __slots__ = ("matrix", "leak", "stack", "freqs")
 
     def __init__(self, matrix: sp.csr_array, leak: float):
         self.matrix = matrix
         self.leak = leak
-        self.blocks = None   # see _generator_blocks
+        self.stack = self.freqs = None
 
 
 def _cache(h: PauliSum) -> dict:
@@ -317,20 +319,32 @@ def _matvec(mat: sp.csr_array, amps: np.ndarray) -> np.ndarray:
     return (mat @ amps.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
-def _generator_blocks(a: sp.csr_array) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Eigendecomposed connected blocks of a compiled generator.
+def _exp_stack(a: sp.csr_array) -> tuple[sp.csr_array, np.ndarray]:
+    """The spectral-projector form of a compiled generator's exponential,
 
-    One entry per block size s: the positions (B, s) in the space of the B
-    blocks of that size, and the eigenvalues (B, s) and eigenvectors
-    (B, s, s) of the Hermitian i*A on each block; for a real A only the upper s - s//2 of
-    them.  States A does not touch are left out.
+        exp(theta * A) = I + sum_k [sin(theta w_k) R_k + (cos(theta w_k) - 1) Q_k],
+
+    as a stacked matrix [R; Q] and the frequencies w.
+
+    A splits into connected blocks (states it does not touch are left out),
+    and on each the Hermitian i*A = V diag(w) V^H; column k of V gives the
+    projector P_k = v_k v_k^H, and exp(theta * A) = I + sum_k
+    (e^{-i theta w_k} - 1) P_k.  For a complex A, R_k = -i P_k and Q_k = P_k
+    over every column.  For a real A each eigenvector at w > 0 pairs with
+    its conjugate at -w, and the pair gives the real R_k = 2 Im P_k and
+    Q_k = 2 Re P_k, so only w > 0 is kept (an odd block's zero eigenvalue
+    adds nothing).  Slab j holds column j of every block, and its rows, each
+    one block's, carry that block's w_j: with K slabs the stack is
+    (2K * dim, dim), R slabs above Q slabs, and the frequencies are (K, dim),
+    0 on rows no block reaches.  Exact zeros are not stored.
     """
-    coo = a.tocoo()
-    r, c = coo.row, coo.col
+    dim = a.shape[0]
+    real = a.dtype == np.float64
+    r, c = np.repeat(np.arange(dim), np.diff(a.indptr)), a.indices
     # label propagation rather than scipy.sparse.csgraph, whose import alone
     # adds about 1 MiB of resident memory: each state takes its smallest
     # neighbour label until no label changes
-    labels = np.arange(a.shape[0])
+    labels = np.arange(dim)
     while True:
         nxt = labels.copy()
         np.minimum.at(nxt, r, labels[c])
@@ -338,21 +352,44 @@ def _generator_blocks(a: sp.csr_array) -> list[tuple[np.ndarray, np.ndarray, np.
         if np.array_equal(nxt, labels):
             break
         labels = nxt
-    states = np.unique(np.concatenate((r, c)))
-    _, sizes = np.unique(labels[states], return_counts=True)
-    grouped = states[np.argsort(labels[states], kind="stable")]
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    out = []
-    for s in np.unique(sizes):
-        index = grouped[starts[sizes == s][:, None] + np.arange(s)]
-        block = a[np.repeat(index, s, axis=1).ravel(), np.tile(index, s).ravel()]
-        w, v = np.linalg.eigh(1j * block.reshape(-1, s, s))
-        if a.dtype == np.float64:
-            # for real A each eigenvector at w > 0 pairs with its conjugate
-            # at -w, so the upper half of the ascending spectrum suffices
-            w, v = w[:, s // 2:].copy(), v[:, :, s // 2:].copy()
-        out.append((index.astype(np.int32), w, v))
-    return out
+    # the touched states in order, each with its block (blocks in the order
+    # of their smallest states) and its place there
+    states = np.union1d(r, c)
+    block = np.searchsorted(states[labels[states] == states], labels[states])
+    sizes = np.bincount(block)
+    local = np.empty_like(block)
+    local[np.argsort(block, kind="stable")] = np.arange(block.size) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes)
+    n_blocks, width = sizes.size, sizes.max(initial=0)
+    index = np.zeros((n_blocks, width), dtype=np.int32)   # block b's states
+    index[block, local] = states
+    at_r, at_c = np.searchsorted(states, r), np.searchsorted(states, c)
+    dense = np.zeros((n_blocks, width, width), dtype=a.dtype)
+    dense[block[at_r], local[at_r], local[at_c]] = a.data
+    # eigendecomposed per block size; kept columns zero-padded to n_slabs,
+    # vt[b, j] is block b's column j
+    kept = {s: s // 2 if real else s for s in np.unique(sizes).tolist()}
+    n_slabs = max(kept.values(), default=0)
+    w = np.zeros((n_blocks, n_slabs))
+    vt = np.zeros((n_blocks, n_slabs, width), dtype=complex)
+    for s, k in kept.items():
+        sel = np.flatnonzero(sizes == s)
+        ws, vs = np.linalg.eigh(1j * dense[sel, :s, :s])
+        w[sel, :k], vt[sel, :k, :s] = ws[:, s - k:], vs[:, :, s - k:].transpose(0, 2, 1)
+    # row (part, slab j, state) of the stack is that state's row of R_j or
+    # Q_j in its block: P_j[row, col] = v_j[row] conj(v_j[col])
+    p = (vt[block, :, local][..., None] * vt[block].conj()).transpose(1, 0, 2)
+    terms = np.stack((2.0 * p.imag, 2.0 * p.real) if real else (-1j * p, p))
+    keep = terms != 0
+    counts = np.zeros((2, n_slabs, dim), dtype=np.int32)
+    counts[:, :, states] = np.count_nonzero(keep, axis=-1)
+    indptr = np.zeros(2 * n_slabs * dim + 1, dtype=np.int32)
+    np.cumsum(counts.ravel(), out=indptr[1:])
+    cols = np.broadcast_to(index[block], terms.shape)[keep]
+    stack = sp.csr_array((terms[keep], cols, indptr), shape=(2 * n_slabs * dim, dim))
+    freqs = np.zeros((n_slabs, dim))
+    freqs[:, states] = w[block].T
+    return stack, freqs
 
 
 @dataclass(frozen=True)
@@ -481,46 +518,41 @@ def apply_generators(gens: list[PauliSum], v: StateVector) -> np.ndarray:
 
 
 def _generator(a: PauliSum, space: Space) -> _Compiled:
-    """A generator compiled over the space, with its blocks.  Checked once,
-    when they are built: a is anti-Hermitian (to 1e-12) and maps no state of
-    the space out of it by more than _LEAK_TOL.  Smaller entries out of the
-    space are rounding residues of cancelled terms and are dropped."""
+    """A generator compiled over the space, with its projector stack.
+    Checked once, when the stack is built: a is anti-Hermitian (to 1e-12)
+    and maps no state of the space out of it by more than _LEAK_TOL.
+    Smaller entries out of the space are rounding residues of cancelled
+    terms and are dropped."""
     comp = _compiled(a, space)
-    if comp.blocks is None:
+    if comp.stack is None:
         if not a.is_anti_hermitian(1e-12):
             raise ValueError("generator is not anti-Hermitian")
         if comp.leak > _LEAK_TOL:
             raise ValueError(f"generator leaves the state's space (sector "
                              f"{space.sector}) by {comp.leak:.3e}")
-        comp.blocks = _generator_blocks(comp.matrix)
+        comp.stack, comp.freqs = _exp_stack(comp.matrix)
     return comp
 
 
 def exp_apply(a: PauliSum, theta: float, v: StateVector) -> StateVector:
     """exp(theta * a)|v>, exact to rounding.
 
-    a must be anti-Hermitian and keep v's space (see _generator).  With
-    i*a = V diag(w) V^H on each connected block of a's matrix,
-    exp(theta * a) = V diag(e^{-i theta w}) V^H there and the identity
-    elsewhere.  A real generator's eigenvectors come in conjugate pairs at
-    -w and w, so its block exponentials are the real matrices
-    I + 2 Re(V diag(e^{-i theta w} - 1) V^H) over w >= 0 alone, and real
-    amplitudes stay exactly real.
+    a must be anti-Hermitian and keep v's space (see _generator).  Its
+    exponential is I + sum_k [sin(theta w_k) R_k + (cos(theta w_k) - 1) Q_k]
+    over the spectral projectors of its connected blocks (_exp_stack): one
+    product of the cached stack [R; Q] with v, and a sum of its slabs
+    weighted by the trigonometric coefficients of their rows.  A real
+    generator's stack is real, so real amplitudes stay exactly real.
     """
     if a.n_qubits != v.n_qubits:
         raise ValueError("register size mismatch")
     comp = _generator(a, v.space)
     if theta == 0.0 or not a.terms:
         return v
-    real = comp.matrix.dtype == np.float64
-    data = v.data.copy()
-    for index, w, vecs in comp.blocks:
-        phase = np.expm1(-1j * theta * w) if real else np.exp(-1j * theta * w)
-        u = (vecs * phase[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-        if real:
-            u = np.eye(u.shape[-1]) + 2.0 * u.real
-        data[index] = (u @ data[index][..., None])[..., 0]
-    return StateVector(v.space, data)
+    angles = theta * comp.freqs
+    coeffs = np.concatenate((np.sin(angles), np.cos(angles) - 1.0))
+    terms = _matvec(comp.stack, v.data).reshape(coeffs.shape)
+    return StateVector(v.space, v.data + (coeffs * terms).sum(axis=0))
 
 
 def pauli_expectations(bras: list[StateVector], h: PauliSum, kets: list[StateVector]

@@ -444,12 +444,14 @@ def _parse_cell(text: str):
 
 
 def _assert_same(got, want, where: str) -> None:
-    # ints and strings exactly, floats to rel 1e-9; an error that is itself
-    # rounding (~1e-16, below 1e-13) may differ on another BLAS by its size
+    # ints and strings exactly, floats to rel 1e-9 or abs 1e-13, whichever is
+    # looser: the held floats are energies, errors and gradients formed as
+    # differences of O(1) energies, defined only to absolute rounding, so a
+    # sub-gtol BFGS gradient (~1e-10) moves by a few 1e-15 with the BLAS
+    # kernel or the exponential's summation order
     if isinstance(want, float):
         assert isinstance(got, float), where
-        floor = 1e-13 if abs(want) < 1e-13 else 0.0
-        assert got == pytest.approx(want, rel=1e-9, abs=floor), where
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-13), where
     elif isinstance(want, dict):
         assert sorted(got) == sorted(want), where
         for key in want:
