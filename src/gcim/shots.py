@@ -11,11 +11,18 @@ are a single identity term measured with s_multiplier-times more shots.  The
 p_k are evaluated on the basis states' own space (the reference's sector),
 and the overlaps are read from the basis's projected S (build_matrices).
 
-Stream contract: entry (i, j) of run r draws from
-default_rng(SeedSequence((seed, r, i, j, tag))), tag 0 for H and 1 for S,
-exactly as sample_entry would.  A sweep resets each stream for every (tau,
-importance sampling) cell, so all cells draw the same random numbers and
-results do not depend on evaluation order.
+Stream contract: in run r, Pauli term t draws from
+default_rng(SeedSequence((seed, r, t))), terms in h's sorted order and
+t = len(h) for the overlap.  The stream draws one value per upper-triangle
+entry, in np.triu_indices order, in one call at the term's shot count.  A
+sweep resets each stream for every (tau, importance sampling) cell, so all
+cells draw the same random numbers and results do not depend on evaluation
+order.  Streams stay one term long because a binomial draw's consumption of
+random numbers depends on its shot count: cells part ways only from a
+rejection to the end of one term's column.  Every p and overlap with
+1 - |p| <= 2**-46 is stored as exactly +/-1; a binomial draw at q = (1+p)/2
+in {0, 1} returns its mean and consumes a fixed count of random numbers, so
+rounding in the last bits of p does not shift the rest of a stream.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ MODE_BINOMIAL = "binomial-exact"
 MODE_GAUSSIAN = "gaussian"
 _INT64_LIMIT = 2.0 ** 63   # shot counts are int64
 _IMAG_TOL = 1e-10          # largest imaginary part a real exact value may carry
+_UNIT_SNAP = 2.0 ** -46    # |p| within this of 1 (128 ulps) is stored as +/-1
 
 
 @dataclass(frozen=True)
@@ -168,13 +176,19 @@ class MatrixEstimators:
     """Stacked decompositions of one (basis, H) pair.
 
     The E = dim(dim+1)/2 upper-triangle entries are in np.triu_indices
-    order; all values are clipped to [-1, 1].
+    order.  All values are clipped to [-1, 1], and those with 1 - |p| <=
+    2**-46 are snapped to exactly +/-1 in place (see the module docstring).
     """
 
     dim: int
     coeffs: np.ndarray     # (T,) real c_k, shared by every H entry
     p_values: np.ndarray   # (E, T) Re<psi_i|P_k|psi_j>
     overlaps: np.ndarray   # (E,) Re<psi_i|psi_j>
+
+    def __post_init__(self):
+        for values in (self.p_values, self.overlaps):
+            np.clip(values, -1.0, 1.0, out=values)
+            np.copysign(1.0, values, out=values, where=np.abs(values) >= 1.0 - _UNIT_SNAP)
 
     @property
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +206,8 @@ class MatrixEstimators:
         for i, start in enumerate(np.flatnonzero(cols == rows)):
             coeffs, values = pauli_expectations(basis.states[i:i + 1], h, basis.states[i:])
             p_values[start:start + d - i] = _real(values[0], "entry expectation")
-        return cls(d, _real(coeffs, "Hamiltonian coefficient"),
-                   np.clip(p_values, -1.0, 1.0, out=p_values),
-                   np.clip(_real(s_mat[rows, cols], "overlap"), -1.0, 1.0))
+        return cls(d, _real(coeffs, "Hamiltonian coefficient"), p_values,
+                   _real(s_mat[rows, cols], "overlap"))
 
     def matrix(self, values: np.ndarray) -> np.ndarray:
         """The symmetric (dim, dim) matrix with these upper-triangle entries."""
@@ -208,40 +221,47 @@ class MatrixEstimators:
                ) -> tuple[np.ndarray, np.ndarray]:
         """Estimates of every H and S entry, each (cells, runs, E).
 
-        Each entry's stream for each run (see the module docstring) is
-        seeded once and reset for every cell, so entry e of cell c and run
-        r equals sample_entry on cell c's shots with a fresh stream.  Only
-        one (cells, T) block of draws is held at a time.
+        Term t of run r draws its column of E values from its own stream (see
+        the module docstring), seeded once and reset for every cell, as
+        lambda = 2 Bin(n, (1+p)/2) - n or Normal(n p, sqrt(n (1-p^2))) at the
+        cell's shot count n.  An H entry adds c_t (lambda / n) in h's term
+        order, one term at a time, so beside the output only one (run,
+        term)'s (cells, E) draws are held; an S entry is lambda / n of term
+        len(h).
         """
         if len({(cfg.seed, cfg.mode) for cfg in cfgs}) != 1:
             raise ValueError("the cells of one sweep share a seed and a mode")
         seed, binomial = cfgs[0].seed, cfgs[0].mode == MODE_BINOMIAL
         h_shots = np.array([_shot_counts(self.coeffs, cfg) for cfg in cfgs])
         s_shots = np.array([_shot_counts([1.0], cfg, cfg.s_multiplier)[0] for cfg in cfgs])
-        rows, cols = self.entries
-        h_out = np.empty((len(cfgs), len(runs), len(rows)))
-        s_out = np.empty_like(h_out)
+        h_out = np.zeros((len(cfgs), len(runs), len(self.overlaps)))
+        s_out = np.zeros_like(h_out)
         bitgen = np.random.PCG64()
         rng = np.random.Generator(bitgen)
-        draw = rng.binomial if binomial else rng.normal
-        for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-            # an overlap is the single identity term, so its draws are scalars
-            for tag, p, shots, out in ((0, self.p_values[e], h_shots, h_out),
-                                       (1, self.overlaps[e], s_shots, s_out)):
+        # an overlap is the single identity term, with coefficient 1
+        terms = [(self.coeffs[t], self.p_values[:, t], h_shots[:, t], h_out)
+                 for t in range(len(self.coeffs))]
+        terms.append((1.0, self.overlaps, s_shots, s_out))
+        lam = np.empty((len(cfgs), len(self.overlaps)))   # one (run, term), every cell
+        for t, (coeff, p, shots, out) in enumerate(terms):
+            if binomial:
+                draw, q = rng.binomial, (1.0 + p) / 2.0
+                args = [(n, q) for n in shots.tolist()]
+            else:
+                draw, spread = rng.normal, 1.0 - p * p
+                args = [(n * p, np.sqrt(n * spread)) for n in shots.tolist()]
+            n = shots.astype(float)[:, None]
+            for r, run in enumerate(runs):
+                state = np.random.PCG64(np.random.SeedSequence((seed, run, t))).state
+                for c, cell_args in enumerate(args):
+                    bitgen.state = state
+                    lam[c] = draw(*cell_args)
                 if binomial:
-                    args = [(n, (1.0 + p) / 2.0) for n in shots]
-                else:
-                    args = list(zip(shots * p, np.sqrt(shots * (1.0 - p * p))))
-                draws = np.empty(shots.shape, dtype=np.int64 if binomial else float)
-                for r, run in enumerate(runs):
-                    state = np.random.PCG64(
-                        np.random.SeedSequence((seed, run, i, j, tag))).state
-                    for c, cell_args in enumerate(args):
-                        bitgen.state = state
-                        draws[c] = draw(*cell_args)
-                    lam = 2.0 * draws - shots if binomial else draws
-                    out[:, r, e] = (np.sum(self.coeffs * lam / shots, axis=-1)
-                                    if tag == 0 else lam / shots)
+                    lam *= 2.0
+                    lam -= n
+                lam /= n
+                lam *= coeff
+                out[:, r] += lam
         return h_out, s_out
 
 

@@ -211,8 +211,8 @@ def test_noise_sweep_csv(tmp_path):
 
 @pytest.mark.parametrize("mode", ["gaussian", "binomial-exact"])
 def test_noise_csv_matches_golden(tmp_path, mode):
-    # noise.csv from the per-entry sampler the sweep replaced; rel=1e-9 leaves
-    # room for rounding in the solves, not for a changed draw
+    # noise.csv under the (run, term) stream contract of gcim.shots; rel=1e-9
+    # leaves room for rounding in the solves, not for a changed draw
     golden = Path(__file__).parent / "data" / f"noise_toy_{mode}.csv"
     doc = _toy_doc(tmp_path, shots={"mode": mode}, tau_grid=[1e6, 1e8, 1e10],
                    noise_runs=6)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gcim.adapt import AdaptConfig, run_algorithm
+from gcim.cli import System, _noise_basis
 from gcim.shots import (
     EntryEstimator,
     MatrixEstimators,
@@ -15,6 +17,21 @@ from gcim.shots import (
     sample_entry,
 )
 from gcim.subspace import BasisRecipe, SubspaceBasis, build_matrices, solve_gevp
+
+
+@pytest.fixture(scope="module")
+def h4_noise(h4):
+    # the subspace `gcim noise` sweeps on H4 at default settings
+    h, pool, ref = h4
+    trace = run_algorithm(h, pool, ref, AdaptConfig())
+    return h, _noise_basis(trace, System(h, pool, ref, "h4"))
+
+
+def _snapped(p):
+    # the stored form of exact values: clipped to [-1, 1], and exactly +-1
+    # where 1 - |p| <= 2**-46
+    p = np.clip(p, -1.0, 1.0)
+    return np.where(1.0 - np.abs(p) <= 2.0 ** -46, np.sign(p), p)
 
 def _toy_noise_setup(toy, n_basis=3):
     h, pool, ref = toy
@@ -109,7 +126,7 @@ def test_overlaps_are_the_projected_pair(h4):
     ests = MatrixEstimators.build(basis, h)
     _, s_mat = build_matrices(basis, h)
     rows, cols = ests.entries
-    assert np.array_equal(ests.overlaps, np.clip(s_mat[rows, cols].real, -1.0, 1.0))
+    assert np.array_equal(ests.overlaps, _snapped(s_mat[rows, cols].real))
 
 
 def test_zero_coefficient_terms_absent(toy):
@@ -320,8 +337,9 @@ def test_sweep_cells_reproduce_single_cells(toy):
 
 @pytest.mark.parametrize("mode", ["binomial-exact", "gaussian"])
 def test_sweep_stream_contract(toy, mode):
-    # entry (i, j) of run r in every cell is sample_entry on that cell's
-    # shots with a fresh stream keyed (seed, r, i, j, tag), tag 0 = H, 1 = S
+    # in run r of every cell, term t draws its column of entries from a fresh
+    # stream keyed (seed, r, t), t = len(h) for the overlap, at that cell's
+    # shot count; an H entry adds c_t (lambda / n) in h's term order
     h, basis = _toy_noise_setup(toy)
     ests = MatrixEstimators.build(basis, h)
     seed = 29
@@ -330,20 +348,79 @@ def test_sweep_stream_contract(toy, mode):
     runs = range(3)
     h_vals, s_vals = ests.sample(cells, runs)
     rows, cols = ests.entries
+    decomps = [exact_decomposition(basis, h, i, j) for i, j in zip(rows, cols)]
+    coeffs = decomps[0].coeffs
+    p_cols = _snapped(np.array([d.p_values for d in decomps])).T
+    overlaps = _snapped(np.array([basis.states[i].inner(basis.states[j]).real
+                                  for i, j in zip(rows, cols)]))
+    assert np.array_equal(p_cols.T, ests.p_values)
+    assert np.array_equal(overlaps, ests.overlaps)
+    assert np.any(np.abs(p_cols) == 1.0) and np.any(np.abs(p_cols) < 1.0)
+
+    def draw(rng, n, p):
+        if mode == "binomial-exact":
+            return 2.0 * rng.binomial(n, (1.0 + p) / 2.0) - n
+        return rng.normal(n * p, np.sqrt(n * (1.0 - p * p)))
+
     for c, cfg in enumerate(cells):
         alloc = allocate_shots_is if cfg.importance_sampling else allocate_shots_uniform
-        for e, (i, j) in enumerate(zip(rows, cols)):
-            h_est = exact_decomposition(basis, h, i, j)
-            s_est = EntryEstimator(np.array([1.0]),
-                                   np.array([basis.states[i].inner(basis.states[j]).real]))
-            assert np.array_equal(h_est.p_values, ests.p_values[e])
-            assert np.array_equal(s_est.p_values, ests.overlaps[e:e + 1])
-            h_est.shots = alloc(h_est.coeffs, cfg.tau)
-            s_est.shots = alloc(s_est.coeffs, cfg.tau * cfg.s_multiplier)
-            for r in runs:
-                for tag, est, vals in ((0, h_est, h_vals), (1, s_est, s_vals)):
-                    rng = np.random.default_rng(np.random.SeedSequence((seed, r, i, j, tag)))
-                    assert sample_entry(est, cfg, rng) == vals[c, r, e]
+        h_shots = alloc(coeffs, cfg.tau)
+        s_shots = alloc([1.0], cfg.tau * cfg.s_multiplier)[0]
+        for r in runs:
+            want = np.zeros(len(rows))
+            for t, (coeff, n, p) in enumerate(zip(coeffs, h_shots, p_cols)):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, r, t)))
+                want += coeff * (draw(rng, n, p) / n)
+            assert np.array_equal(h_vals[c, r], want)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, r, len(h))))
+            assert np.array_equal(s_vals[c, r], draw(rng, s_shots, overlaps) / s_shots)
+
+
+@pytest.mark.parametrize("mode", ["binomial-exact", "gaussian"])
+def test_sample_does_not_hang_on_the_last_bit(h4_noise, mode):
+    # a p or overlap of exactly +-1 moved one ulp toward 0, as a change of
+    # summation order can move it, is stored as +-1 again, so no draw moves
+    h, basis = h4_noise
+    ests = MatrixEstimators.build(basis, h)
+    cells = [ShotConfig(tau=tau, mode=mode, importance_sampling=flag, seed=3)
+             for tau in (1e10, 1e12) for flag in (False, True)]
+    want = ests.sample(cells, range(4))
+    nudged = [np.where(np.abs(v) == 1.0, np.nextafter(v, 0.0), v)
+              for v in (ests.p_values, ests.overlaps)]
+    assert all(np.any(a != b) for a, b in zip(nudged, (ests.p_values, ests.overlaps)))
+    got = MatrixEstimators(ests.dim, ests.coeffs, *nudged).sample(cells, range(4))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", ["binomial-exact", "gaussian"])
+def test_unit_p_entry_is_its_exact_mean(h4_noise, mode):
+    # every term at p = +-1 has a certain outcome, so the estimate is sum c_t p_t
+    h, basis = h4_noise
+    coeffs = MatrixEstimators.build(basis, h).coeffs
+    signs = np.where(np.arange(len(coeffs)) % 3 == 0, -1.0, 1.0)
+    ests = MatrixEstimators(1, coeffs, signs[None, :], np.array([-1.0]))
+    mean = 0.0
+    for c, p in zip(coeffs, signs):
+        mean += c * p
+    cells = [ShotConfig(tau=tau, mode=mode, importance_sampling=flag, seed=5)
+             for tau in (1e3, 1e12) for flag in (False, True)]
+    h_vals, s_vals = ests.sample(cells, range(3))
+    assert np.all(h_vals == mean) and np.all(s_vals == -1.0)
+
+
+def test_binomial_cells_share_random_numbers(h4_noise):
+    # binomial cells draw the same numbers except from a rejection-count
+    # mismatch to the end of one term's column, so the scaled deviations of
+    # two cells stay nearly proportional; one long stream per run would
+    # decorrelate them (about 0.87)
+    h, basis = h4_noise
+    ests = MatrixEstimators.build(basis, h)
+    cells = [ShotConfig(tau=tau, seed=3) for tau in (1e10, 1e12)]
+    h_vals, s_vals = ests.sample(cells, range(20))
+    for vals, exact in ((h_vals, ests.p_values @ ests.coeffs), (s_vals, ests.overlaps)):
+        lo, hi = (np.sqrt(cfg.tau) * (vals[c] - exact) for c, cfg in enumerate(cells))
+        assert np.corrcoef(lo.ravel(), hi.ravel())[0, 1] >= 0.99
 
 
 def test_sweep_cells_share_random_numbers(toy):
