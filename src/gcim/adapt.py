@@ -77,9 +77,11 @@ class AdaptConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not math.isfinite(self.theta_init):
+            raise ValueError("theta_init must be finite")
         for name in ("gcim_tol", "vqe_grad_tol", "s_threshold"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.t_usr < 1 or self.max_iterations < 1:
             raise ValueError("iteration counts must be positive")
         if self.m < 1 or self.n < 0:

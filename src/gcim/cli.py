@@ -29,15 +29,9 @@ from .fermion import jordan_wigner
 from .pauli import PauliSum, ResourceLimitError, parse_pauli_json
 from .pool import PoolOperator, build_pool, pool_to_json
 from .resources import SCHEMES, ansatz_cnot_total, cnot_count, measurement_estimate
-from .shots import MatrixEstimators, ShotConfig, mc_sweep
+from .shots import ShotConfig, mc_sweep
 from .statevector import ExactSpectrum, StateVector, exact_spectrum, hf_state
-from .subspace import (
-    BasisRecipe,
-    ProjectedPair,
-    SubspaceBasis,
-    build_matrices,
-    excitation_energies,
-)
+from .subspace import BasisRecipe, SubspaceBasis, build_matrices, excitation_energies
 from .toy import toy_integrals
 
 EXIT_OK = 0
@@ -54,6 +48,14 @@ class ConfigError(ValueError):
 def _load_schema(name: str) -> dict:
     ref = importlib_resources.files("gcim") / "schemas" / name
     return json.loads(ref.read_text())
+
+
+def _check_schema(doc, name: str, where: str, error: type = ValueError) -> None:
+    """Raise `error`, prefixed by `where` and naming the field, if doc breaks `name`."""
+    errors = jsonschema.Draft202012Validator(_load_schema(name)).iter_errors(doc)
+    if (exc := jsonschema.exceptions.best_match(errors)) is not None:
+        key = _key_path(exc.absolute_path)
+        raise error(f"{where}: {key + ': ' if key else ''}{exc.message}")
 
 
 @dataclass
@@ -125,13 +127,7 @@ def load_config(path: str | Path, seed: int | None = None,
         except OverflowError:
             raise ConfigError(f"invalid config {path}: {_key_path(key)} is an "
                               "integer too large for a double") from None
-    schema = _load_schema("config.schema.json")
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        where = _key_path(exc.absolute_path)
-        raise ConfigError(f"invalid config {path}: "
-                          f"{where + ': ' if where else ''}{exc.message}") from exc
+    _check_schema(doc, "config.schema.json", f"invalid config {path}", ConfigError)
     cfg = RunConfig(
         hamiltonian=doc["hamiltonian"],
         algorithms=list(doc.get("algorithms", [ADAPT_GCIM])),
@@ -373,7 +369,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     return status
 
 
-def _noise_basis(trace: AdaptTrace, system: System) -> SubspaceBasis:
+def _noise_basis(trace: AdaptTrace) -> SubspaceBasis:
     """Leading states of the trace's basis, with the leading block of its
     pair, up to the earliest iteration whose energy matches the final one.
 
@@ -383,12 +379,7 @@ def _noise_basis(trace: AdaptTrace, system: System) -> SubspaceBasis:
     d = next((rec.subspace_dim for rec in trace.records if rec.epsilon0 is not None
               and abs(rec.epsilon0 - trace.final_energy) <= 1e-12),
              trace.records[-1].subspace_dim)
-    h_mat, s_mat = build_matrices(trace.basis, system.h)   # cached by the run
-    basis = SubspaceBasis(reference=system.reference, pool=system.pool,
-                          recipes=trace.basis.recipes[:d], states=trace.basis.states[:d])
-    basis.pair = ProjectedPair(system.h, trace.basis.states[:d], trace.basis.pair.h_kets[:d],
-                               h_mat[:d, :d], s_mat[:d, :d])
-    return basis
+    return trace.basis.leading(d)
 
 
 def cmd_noise(cfg: RunConfig) -> int:
@@ -400,11 +391,9 @@ def cmd_noise(cfg: RunConfig) -> int:
     system = build_system(cfg)
     trace = run_algorithm(system.h, system.pool, system.reference,
                           cfg.adapt_config(ADAPT_GCIM))
-    basis = _noise_basis(trace, system)
     cells = [cfg.shot_config(tau=float(tau), importance_sampling=is_flag)
              for tau in cfg.tau_grid for is_flag in (False, True)]
-    summaries = mc_sweep(*build_matrices(basis, system.h),
-                         MatrixEstimators.build(basis, system.h), cells, runs=cfg.noise_runs)
+    summaries = mc_sweep(_noise_basis(trace), system.h, cells, cfg.noise_runs)
     rows = [[repr(cell.tau), int(cell.importance_sampling), repr(summary.mean_error),
              repr(summary.ci_low), repr(summary.ci_high)]
             for cell, summary in zip(cells, summaries)]
@@ -427,10 +416,16 @@ def cmd_resources(cfg: RunConfig, trace_path: str | Path | None = None) -> int:
         if not line.strip():
             continue
         try:
-            rec = IterationRecord(**json.loads(line))
-        except TypeError as exc:
-            raise ValueError(f"{path}:{n}: not a trace record ({exc})") from exc
+            doc = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: not JSON ({exc})") from None
+        _check_schema(doc, "trace_record.schema.json", f"{path}:{n}")
+        rec = IterationRecord(**doc)
         recipe = BasisRecipe.from_steps(rec.product_recipe)
+        used = {*recipe.pool_indices(), rec.selected_index} - {None}
+        if max(used, default=-1) >= len(system.pool):
+            raise ValueError(f"{path}:{n}: pool index {max(used)} is outside the "
+                             f"{len(system.pool)}-operator pool of {system.source}")
         err = _cell(_abs_error(rec.energy, exact))
         for scheme in SCHEMES:
             new_cnots = (cnot_count(system.pool[rec.selected_index], scheme)

@@ -10,6 +10,8 @@ proportionally to |c_k| at a fixed total of tau * n_terms; overlap entries
 are a single identity term measured with s_multiplier-times more shots.  The
 p_k are evaluated on the basis states' own space (the reference's sector),
 and the overlaps are read from the basis's projected S (build_matrices).
+mc_sweep(basis, h, cells, runs) perturbs that same cached pair and measures
+errors against its exact eps0; noisy solves truncate at NOISY_S_THRESHOLD.
 
 Stream contract: in run r, Pauli term t draws from
 default_rng(SeedSequence((seed, r, t))), terms in h's sorted order and
@@ -58,9 +60,10 @@ class ShotConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau < 1:
+        # written so that NaN fails; an infinite field fails the int64 check
+        if not self.tau >= 1:
             raise ValueError("tau must be >= 1")
-        if self.s_multiplier < 1:
+        if not self.s_multiplier >= 1:
             raise ValueError("s_multiplier must be >= 1")
         if self.tau * self.s_multiplier >= _INT64_LIMIT:
             raise ValueError(f"tau * s_multiplier = {self.tau * self.s_multiplier:.3g} "
@@ -116,8 +119,8 @@ def _shot_array(counts) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def allocate_shots_is(coeffs, tau: float, n_term: int | None = None) -> np.ndarray:
-    """Importance-sampled per-term shots: N_k ~ |c_k| at total tau * n_term.
+def allocate_shots_is(coeffs, tau: float) -> np.ndarray:
+    """Importance-sampled per-term shots: N_k ~ |c_k| at total tau * len(coeffs).
 
     Terms with nonzero coefficient get at least one shot; a share past the
     int64 range is an error.
@@ -126,9 +129,7 @@ def allocate_shots_is(coeffs, tau: float, n_term: int | None = None) -> np.ndarr
     total_mag = mags.sum()
     if total_mag == 0:
         raise ValueError("all coefficients are zero")
-    if n_term is None:
-        n_term = len(mags)
-    shots = _shot_array(mags / total_mag * tau * n_term)
+    shots = _shot_array(mags / total_mag * tau * len(mags))
     shots[(mags > 0) & (shots < 1)] = 1
     return shots
 
@@ -277,51 +278,43 @@ class McSummary:
     kept_dims: list[int]
 
 
-def mc_sweep(h_mat: np.ndarray, s_mat: np.ndarray, estimators: MatrixEstimators,
-             cfgs: Sequence[ShotConfig], runs: int = 100,
-             s_threshold: float = NOISY_S_THRESHOLD) -> list[McSummary]:
+def mc_sweep(basis: SubspaceBasis, h: PauliSum, cells: Sequence[ShotConfig],
+             runs: int) -> list[McSummary]:
     """Repeat perturb-and-solve for every shot cell; report
     |eps0(noisy) - eps0(exact)| statistics per cell.
 
-    All cells sample from one set of streams (MatrixEstimators.sample), then
-    each (cell, run) pair is one GEVP.  The 95% confidence band is the
-    empirical 2.5/97.5 percentile range.
+    The exact pair is the basis's cached pair (build_matrices); all cells
+    sample one set of streams (MatrixEstimators.sample), and each (cell, run)
+    is one GEVP.  The 95% band is the empirical 2.5/97.5 percentile range.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs")
-    if not cfgs:
+    if not cells:
         raise ValueError("no shot cells to sweep")
-    exact = solve_gevp(h_mat, s_mat, DEFAULT_S_THRESHOLD).ground_energy
-    h_vals, s_vals = estimators.sample(cfgs, range(runs))
+    exact = solve_gevp(*build_matrices(basis, h), DEFAULT_S_THRESHOLD).ground_energy
+    estimators = MatrixEstimators.build(basis, h)
+    h_vals, s_vals = estimators.sample(cells, range(runs))
     summaries = []
     for h_cell, s_cell in zip(h_vals, s_vals):
-        errors = np.zeros(runs)
-        kept_dims = []
-        for r, (hv, sv) in enumerate(zip(h_cell, s_cell)):
-            res = solve_gevp(estimators.matrix(hv), estimators.matrix(sv), s_threshold)
-            errors[r] = abs(res.ground_energy - exact)
-            kept_dims.append(res.kept_dim)
+        solves = (solve_gevp(estimators.matrix(hv), estimators.matrix(sv), NOISY_S_THRESHOLD)
+                  for hv, sv in zip(h_cell, s_cell))
+        energies, kept_dims = zip(*((res.ground_energy, res.kept_dim) for res in solves))
+        errors = np.abs(np.array(energies) - exact)
         summaries.append(McSummary(
             mean_error=float(errors.mean()),
             median_error=float(np.median(errors)),
             ci_low=float(np.percentile(errors, 2.5)),
             ci_high=float(np.percentile(errors, 97.5)),
-            errors=errors, kept_dims=kept_dims))
+            errors=errors, kept_dims=list(kept_dims)))
     return summaries
 
 
-def mc_experiment(h_mat: np.ndarray, s_mat: np.ndarray, basis: SubspaceBasis,
-                  h: PauliSum, cfg: ShotConfig, runs: int = 100,
-                  s_threshold: float = NOISY_S_THRESHOLD) -> McSummary:
+def mc_experiment(basis: SubspaceBasis, h: PauliSum, cfg: ShotConfig, runs: int
+                  ) -> McSummary:
     """mc_sweep over the single cell cfg."""
-    return mc_sweep(h_mat, s_mat, MatrixEstimators.build(basis, h), [cfg], runs,
-                    s_threshold)[0]
+    return mc_sweep(basis, h, [cfg], runs)[0]
 
 
-def hf_filter(value: float, threshold: float = 0.2) -> int:
-    """Snap a noisy reference-state Pauli expectation to {-1, 0, +1}."""
-    if value > threshold:
-        return 1
-    if value < -threshold:
-        return -1
-    return 0
+def hf_filter(value: float) -> int:
+    """Sign of a noisy reference-state Pauli expectation beyond +/-0.2, else 0."""
+    return int(np.sign(value)) if abs(value) > 0.2 else 0

@@ -113,6 +113,15 @@ class SubspaceBasis:
     def regenerate(self) -> None:
         self.states = [prepare_state(r, self.pool, self.reference) for r in self.recipes]
 
+    def leading(self, d: int) -> "SubspaceBasis":
+        """The first d recipes and states, holding the leading block of the
+        cached pair, so build_matrices on it applies no H again."""
+        basis = SubspaceBasis(self.reference, self.pool, self.recipes[:d], self.states[:d])
+        if (pair := self.pair) is not None:
+            basis.pair = ProjectedPair(pair.h, pair.states[:d], pair.h_kets[:d],
+                                       pair.h_mat[:d, :d], pair.s_mat[:d, :d])
+        return basis
+
 
 def build_matrices(basis: SubspaceBasis, h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Projected H_ij = <psi_i|H|psi_j> and overlap S_ij = <psi_i|psi_j>.

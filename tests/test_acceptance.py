@@ -354,29 +354,25 @@ def test_criterion_08_shot_noise_statistics():
         draws = np.array([sample_entry(est, cfg, rng) for _ in range(100_000)])
         var_ok &= abs(draws.var() - est.variance()) / est.variance() < 0.05
     # (b) allocation reference case
-    alloc_ok = allocate_shots_is([1.0, 3.0], tau=100, n_term=2).tolist() == [50, 150]
+    alloc_ok = allocate_shots_is([1.0, 3.0], tau=100).tolist() == [50, 150]
     # (c) importance sampling wins on most instances at equal shots
     wins = 0
     n_instances = 10
     for k in range(n_instances):
         h, basis = _conditioned_instance(np.random.default_rng(900 + k), 2)
-        h_mat, s_mat = build_matrices(basis, h)
         medians = {}
         for is_flag in (False, True):
             cfg = ShotConfig(tau=1e9, mode="gaussian",
                              importance_sampling=is_flag, seed=1000 + k)
-            medians[is_flag] = mc_experiment(
-                h_mat, s_mat, basis, h, cfg, runs=100).median_error
+            medians[is_flag] = mc_experiment(basis, h, cfg, runs=100).median_error
         wins += medians[True] <= medians[False] * (1 + 1e-9)
     # (d) median error decreases monotonically in tau (Spearman over 4 decades)
     h, basis = _conditioned_instance(np.random.default_rng(950), 2)
-    h_mat, s_mat = build_matrices(basis, h)
     taus = [1e8, 1e9, 1e10, 1e11, 1e12]
     meds = []
     for tau in taus:
         cfg = ShotConfig(tau=tau, mode="gaussian", seed=77)
-        meds.append(mc_experiment(h_mat, s_mat, basis, h, cfg,
-                                  runs=100).median_error)
+        meds.append(mc_experiment(basis, h, cfg, runs=100).median_error)
     rho = scipy.stats.spearmanr(taus, meds).statistic
     ok = var_ok and alloc_ok and wins >= 0.8 * n_instances and rho < -0.9
     _report(8, "finite-shot statistics",
@@ -400,10 +396,8 @@ def test_criterion_09_truncation_robustness():
     dup.regenerate()
 
     def median_err(basis):
-        h_mat, s_mat = build_matrices(basis, h)
         cfg = ShotConfig(tau=1e6, mode="gaussian", seed=5)
-        return mc_experiment(h_mat, s_mat, basis, h, cfg, runs=60,
-                             s_threshold=1e-5).median_error
+        return mc_experiment(basis, h, cfg, runs=60).median_error
 
     base = median_err(clean)
     dup_err = median_err(dup)

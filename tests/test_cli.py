@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +15,6 @@ from gcim.cli import (
     EXIT_OK,
     EXIT_UNCONVERGED,
     ConfigError,
-    System,
     _load_schema,
     _noise_basis,
     build_system,
@@ -170,6 +170,17 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, verb, origin):
     _assert_input_error(tmp_path, capsys, argv, str(cfg_path), "seed")
 
 
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_repeated_algorithm_is_a_config_error(tmp_path, capsys, verb):
+    # it used to run twice, and compare wrote two identical columns
+    doc = _toy_doc(tmp_path, algorithms=["adapt-gcim", "adapt-gcim"])
+    cfg_path = _write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="algorithms"):
+        load_config(cfg_path)
+    _assert_input_error(tmp_path, capsys, [verb, "--config", str(cfg_path)],
+                        "algorithms", "non-unique")
+
+
 def test_compare_needs_two_algorithms(tmp_path):
     cfg_path = _write_config(tmp_path, _toy_doc(tmp_path))
     assert main(["compare", "--config", str(cfg_path)]) == EXIT_ERROR
@@ -312,6 +323,47 @@ def test_resources_empty_trace_header_only(tmp_path):
     assert len(rows) == 1
 
 
+def test_resources_rejects_a_trace_of_another_pool(tmp_path, capsys, h4_path):
+    # H4's trace indexes its 36-operator pool; replayed on the toy's 4 it
+    # used to end in an IndexError traceback
+    h4_doc = _toy_doc(tmp_path, hamiltonian={"fcidump": str(h4_path)},
+                      out_dir=str(tmp_path / "h4"))
+    main(["run", "--config", str(_write_config(tmp_path, h4_doc))])
+    trace = tmp_path / "h4" / "trace.jsonl"
+    cfg_path = _write_config(tmp_path, _toy_doc(tmp_path))
+    _assert_input_error(tmp_path, capsys,
+                        ["resources", "--config", str(cfg_path), "--trace", str(trace)],
+                        f"{trace}:1: pool index", "4-operator pool")
+
+
+@pytest.mark.parametrize("key, value, where", [
+    ("selected_index", -1, "selected_index"),
+    ("product_recipe", [[-1, 0.785]], "product_recipe[0][0]"),
+])
+def test_resources_rejects_a_negative_pool_index(tmp_path, capsys, data_dir, key,
+                                                 value, where):
+    # a negative index used to read pool[-1] and exit 0
+    golden = data_dir / "golden" / "toy_compare" / "adapt-gcim" / "trace.jsonl"
+    record = json.loads(golden.read_text().splitlines()[0])
+    record[key] = value
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(golden.read_text().splitlines()[1] + "\n" + json.dumps(record) + "\n")
+    cfg_path = _write_config(tmp_path, _toy_doc(tmp_path))
+    _assert_input_error(tmp_path, capsys,
+                        ["resources", "--config", str(cfg_path), "--trace", str(trace)],
+                        f"{trace}:2: {where}: -1 is less than the minimum of 0")
+
+
+def test_resources_names_a_line_that_is_not_json(tmp_path, capsys, data_dir):
+    golden = data_dir / "golden" / "toy_compare" / "adapt-gcim" / "trace.jsonl"
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(golden.read_text().splitlines()[0] + "\n{not json\n")
+    cfg_path = _write_config(tmp_path, _toy_doc(tmp_path))
+    _assert_input_error(tmp_path, capsys,
+                        ["resources", "--config", str(cfg_path), "--trace", str(trace)],
+                        f"{trace}:2: not JSON")
+
+
 def test_exact_dump(tmp_path, toy):
     h, _, ref = toy
     cfg_path = _write_config(tmp_path, _toy_doc(tmp_path, exact_k=3))
@@ -398,7 +450,7 @@ def test_dump_matrices_leading_blocks(tmp_path, toy):
 def test_noise_basis_holds_trace_states(toy):
     h, pool, ref = toy
     trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
-    basis = _noise_basis(trace, System(h, pool, ref, "toy"))
+    basis = _noise_basis(trace)
     d = len(basis)
     assert 0 < d <= len(trace.basis)
     assert len(basis.states) == d
@@ -410,6 +462,12 @@ def test_noise_basis_holds_trace_states(toy):
     h_mat, s_mat = build_matrices(basis, h)
     assert h_mat is basis.pair.h_mat and s_mat is basis.pair.s_mat
     assert np.array_equal(h_mat, h_fin[:d, :d]) and np.array_equal(s_mat, s_fin[:d, :d])
+
+
+def test_shipped_schemas_are_valid():
+    # validation builds its validator without checking the schema itself
+    for name in ("config.schema.json", "trace_record.schema.json", "summary.schema.json"):
+        jsonschema.Draft202012Validator.check_schema(_load_schema(name))
 
 
 def test_shipped_configs_load():
@@ -615,6 +673,19 @@ def test_schema_error_names_a_list_entry_as_the_overflow_check_does(tmp_path, ca
         '"seed": 7', '"seed": 7, "tau_grid": [1e10, 0.5]'))
     _assert_input_error(tmp_path, capsys, ["noise", "--config", str(cfg_path)],
                         str(cfg_path), "tau_grid[1]: 0.5 is less than the minimum of 1")
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (AdaptConfig, "theta_init", math.nan), (AdaptConfig, "theta_init", -math.inf),
+    (AdaptConfig, "gcim_tol", math.nan), (AdaptConfig, "gcim_tol", math.inf),
+    (AdaptConfig, "vqe_grad_tol", math.inf), (AdaptConfig, "s_threshold", math.nan),
+    (ShotConfig, "tau", math.nan), (ShotConfig, "s_multiplier", math.nan),
+])
+def test_library_configs_reject_non_finite_fields(cls, name, value):
+    # the CLI refuses these numbers in JSON; a library caller meets the same
+    # rule instead of a converged NaN run or a misleading EmptySubspaceError
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
 
 
 def test_toy_occupation_overrides(tmp_path):

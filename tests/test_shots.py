@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gcim.adapt import AdaptConfig, run_algorithm
-from gcim.cli import System, _noise_basis
+from gcim.cli import _noise_basis
 from gcim.shots import (
     EntryEstimator,
     MatrixEstimators,
@@ -24,7 +24,7 @@ def h4_noise(h4):
     # the subspace `gcim noise` sweeps on H4 at default settings
     h, pool, ref = h4
     trace = run_algorithm(h, pool, ref, AdaptConfig())
-    return h, _noise_basis(trace, System(h, pool, ref, "h4"))
+    return h, _noise_basis(trace)
 
 
 def _snapped(p):
@@ -174,7 +174,7 @@ def test_sample_entry_unbiased_generic():
 
 
 def test_allocate_shots_is_reference_case():
-    shots = allocate_shots_is([1.0, 3.0], tau=100, n_term=2)
+    shots = allocate_shots_is([1.0, 3.0], tau=100)
     assert shots.tolist() == [50, 150]
 
 
@@ -276,26 +276,23 @@ def test_noisy_gevp_with_duplicates_does_not_fail(toy):
 
 def test_mc_experiment_zero_noise_limit(toy):
     h, basis = _toy_noise_setup(toy)
-    h_mat, s_mat = build_matrices(basis, h)
     cfg = ShotConfig(tau=1e14, mode="gaussian", seed=13)
-    summary = mc_experiment(h_mat, s_mat, basis, h, cfg, runs=10)
+    summary = mc_experiment(basis, h, cfg, runs=10)
     assert summary.mean_error < 1e-6
     assert summary.ci_low <= summary.median_error <= summary.ci_high
     assert len(summary.kept_dims) == 10
     with pytest.raises(ValueError):
-        mc_experiment(h_mat, s_mat, basis, h, cfg, runs=1)
+        mc_experiment(basis, h, cfg, runs=1)
     with pytest.raises(ValueError, match="no shot cells"):
-        mc_sweep(h_mat, s_mat, MatrixEstimators.build(basis, h), [], runs=10)
+        mc_sweep(basis, h, [], runs=10)
 
 
 def test_mc_experiment_error_shrinks_with_tau(toy):
     h, basis = _toy_noise_setup(toy)
-    h_mat, s_mat = build_matrices(basis, h)
     errors = []
     for tau in (1e8, 1e12):
         cfg = ShotConfig(tau=tau, mode="gaussian", seed=17)
-        errors.append(mc_experiment(h_mat, s_mat, basis, h, cfg,
-                                    runs=40).median_error)
+        errors.append(mc_experiment(basis, h, cfg, runs=40).median_error)
     assert errors[1] < errors[0]
 
 
@@ -319,7 +316,6 @@ def test_matrix_estimators_cache_consistency(toy):
 def test_sweep_cells_reproduce_single_cells(toy):
     # a sweep decomposes once; each cell must sample exactly as if built anew
     h, basis = _toy_noise_setup(toy)
-    h_mat, s_mat = build_matrices(basis, h)
     first = MatrixEstimators.build(basis, h)
     cells = [ShotConfig(tau=1e9, seed=5),
              ShotConfig(tau=300, seed=5, importance_sampling=True, s_multiplier=7)]
@@ -328,8 +324,8 @@ def test_sweep_cells_reproduce_single_cells(toy):
         alone = MatrixEstimators.build(basis, h).sample([cfg], range(3))
         for a, b in zip(swept, alone):
             assert np.array_equal(a[c], b[0])
-    for cfg, summary in zip(cells, mc_sweep(h_mat, s_mat, first, cells, runs=4)):
-        alone = mc_experiment(h_mat, s_mat, basis, h, cfg, runs=4)
+    for cfg, summary in zip(cells, mc_sweep(basis, h, cells, runs=4)):
+        alone = mc_experiment(basis, h, cfg, runs=4)
         assert np.array_equal(summary.errors, alone.errors)
     with pytest.raises(ValueError):
         first.sample([ShotConfig(seed=1), ShotConfig(seed=2)], range(2))

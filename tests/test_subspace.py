@@ -85,6 +85,22 @@ def test_build_matrices_cache_follows_states_and_h(toy):
     assert np.array_equal(build_matrices(basis, doubled)[0], fresh(basis, doubled)[0])
 
 
+def test_leading_holds_the_leading_block_of_the_pair(toy):
+    h, pool, ref = toy
+    basis = _toy_basis(toy, [BasisRecipe(), BasisRecipe(((0, 0.3),)),
+                             BasisRecipe(((1, -0.6),))])
+    assert basis.leading(2).pair is None   # nothing cached yet
+    build_matrices(basis, h)
+    head = basis.leading(2)
+    assert head.recipes == basis.recipes[:2]
+    assert all(a is b for a, b in zip(head.states, basis.states[:2]))
+    fresh = SubspaceBasis(reference=ref, pool=pool, recipes=head.recipes,
+                          states=head.states)
+    h_mat, s_mat = build_matrices(head, h)
+    assert h_mat is head.pair.h_mat and s_mat is head.pair.s_mat
+    assert all(np.array_equal(a, b) for a, b in zip((h_mat, s_mat), build_matrices(fresh, h)))
+
+
 def test_solve_gevp_identity_overlap():
     res = solve_gevp(np.diag([1.0, 2.0]), np.eye(2), 1e-13)
     assert np.allclose(res.eigenvalues, [1.0, 2.0])
