@@ -165,15 +165,13 @@ def pool_gradients(state: StateVector, h: PauliSum,
     """<state|[H, A_l]|state> = 2 Re <H state|A_l state> for every pool
     element (real by construction).
 
-    H|state> is applied once and every A_l|state> comes from one stacked
-    product (apply_generators); each gradient is the real part of
-    StateVector.inner, the same two dot products per row.
+    H|state> is applied once, every A_l|state> comes from one stacked
+    product (apply_generators), and the gradients are 2 Re vecdot(H|state>,
+    products), one BLAS dot per row: StateVector.inner's, to the last bit.
     """
     w = apply_paulisum(h, state)
-    wr, wi = w.data.real, w.data.imag
     products = apply_generators([op.qubit for op in pool], state)
-    return np.array([2.0 * (np.dot(wr, br) + np.dot(wi, bi))
-                     for br, bi in zip(products.real, products.imag)])
+    return 2.0 * np.vecdot(w.data, products).real
 
 
 def select_operator(surrogate: StateVector, h: PauliSum, pool: list[PoolOperator],

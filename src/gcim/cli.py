@@ -397,6 +397,12 @@ def cmd_noise(cfg: RunConfig) -> int:
     rows = [[repr(cell.tau), int(cell.importance_sampling), repr(summary.mean_error),
              repr(summary.ci_low), repr(summary.ci_high)]
             for cell, summary in zip(cells, summaries)]
+    for cell, summary in zip(cells, summaries):
+        if summary.runs_kept_more:
+            print(f"gcim: warning: tau {cell.tau:g}, importance sampling "
+                  f"{int(cell.importance_sampling)}: {summary.runs_kept_more} of {cfg.noise_runs} "
+                  f"runs keep more than the exact solve's {summary.exact_kept_dim} directions",
+                  file=sys.stderr)
     _atomic_write(cfg.out_dir / "noise.csv",
                   _csv(["tau", "importance_sampling", "mean_error", "ci_low", "ci_high"],
                        rows))

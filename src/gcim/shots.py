@@ -276,6 +276,8 @@ class McSummary:
     ci_high: float
     errors: np.ndarray
     kept_dims: list[int]
+    exact_kept_dim: int    # directions the exact solve keeps
+    runs_kept_more: int    # runs whose solve keeps a direction it drops
 
 
 def mc_sweep(basis: SubspaceBasis, h: PauliSum, cells: Sequence[ShotConfig],
@@ -291,7 +293,7 @@ def mc_sweep(basis: SubspaceBasis, h: PauliSum, cells: Sequence[ShotConfig],
         raise ValueError("need at least 2 runs")
     if not cells:
         raise ValueError("no shot cells to sweep")
-    exact = solve_gevp(*build_matrices(basis, h), DEFAULT_S_THRESHOLD).ground_energy
+    exact = solve_gevp(*build_matrices(basis, h), DEFAULT_S_THRESHOLD)
     estimators = MatrixEstimators.build(basis, h)
     h_vals, s_vals = estimators.sample(cells, range(runs))
     summaries = []
@@ -299,13 +301,14 @@ def mc_sweep(basis: SubspaceBasis, h: PauliSum, cells: Sequence[ShotConfig],
         solves = (solve_gevp(estimators.matrix(hv), estimators.matrix(sv), NOISY_S_THRESHOLD)
                   for hv, sv in zip(h_cell, s_cell))
         energies, kept_dims = zip(*((res.ground_energy, res.kept_dim) for res in solves))
-        errors = np.abs(np.array(energies) - exact)
+        errors = np.abs(np.array(energies) - exact.ground_energy)
         summaries.append(McSummary(
             mean_error=float(errors.mean()),
             median_error=float(np.median(errors)),
             ci_low=float(np.percentile(errors, 2.5)),
             ci_high=float(np.percentile(errors, 97.5)),
-            errors=errors, kept_dims=list(kept_dims)))
+            errors=errors, kept_dims=list(kept_dims), exact_kept_dim=exact.kept_dim,
+            runs_kept_more=sum(k > exact.kept_dim for k in kept_dims)))
     return summaries
 
 

@@ -8,6 +8,10 @@ conserves, and from_array and basis_state give the full register of all 2^n
 indices, which runs the same code.  StateVector.amplitudes, the read-only
 embedding into the full register, is left to oracles, tests and inner
 products across spaces; no kernel here, pauli_expectations included, reads it.
+Amplitudes keep the dtype of their data (hf_state and basis_state are
+real), and every kernel returns the common dtype of its operator and state:
+a real Hamiltonian and pool (all FCIDUMP and Hubbard input) run in float64
+end to end, and a complex operator or state promotes to complex128.
 
 Each PauliSum is compiled once per space to a sparse CSR matrix over that
 space's indices, real whenever every entry is real (as for all FCIDUMP
@@ -309,12 +313,13 @@ def _compile_matrix(h: PauliSum, space: Space) -> tuple[sp.csr_array, float]:
 
 
 def _matvec(mat: sp.csr_array, amps: np.ndarray) -> np.ndarray:
-    """mat @ amps for contiguous complex amps.
+    """mat @ amps for contiguous amps, in their common dtype: real for a
+    real mat on real amps, complex otherwise.
 
-    A real mat acts on the real and imaginary parts as two columns, so no
-    complex copy of its entries is made.
+    A real mat acts on complex amps' real and imaginary parts as two
+    columns, so no complex copy of its entries is made.
     """
-    if mat.dtype == np.complex128:
+    if mat.dtype == np.complex128 or amps.dtype == np.float64:
         return mat @ amps
     return (mat @ amps.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
@@ -394,16 +399,18 @@ def _exp_stack(a: sp.csr_array) -> tuple[sp.csr_array, np.ndarray]:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Immutable complex amplitudes over the basis states of a space.
+    """Immutable amplitudes over the basis states of a space.
 
-    data[k] is the amplitude of basis index space.indices[k].
+    data[k] is the amplitude of basis index space.indices[k].  The dtype
+    follows the data: float64 for real input, complex128 for complex.
     """
 
     space: Space
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=complex)
+        data = np.asarray(self.data)
+        data = np.ascontiguousarray(data, dtype=np.result_type(data, np.float64))
         if data.shape != (self.space.dim,):
             raise ValueError(f"{data.shape} amplitudes for a space of dimension "
                              f"{self.space.dim}")
@@ -421,7 +428,7 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
+        amps = np.zeros(1 << n_qubits)
         amps[index] = 1.0
         return cls.from_array(amps)
 
@@ -432,7 +439,7 @@ class StateVector:
     @property
     def amplitudes(self) -> np.ndarray:
         """Read-only embedding into the full 2^n register."""
-        amps = np.zeros(1 << self.n_qubits, dtype=complex)
+        amps = np.zeros(1 << self.n_qubits, dtype=self.data.dtype)
         amps[self.space.indices] = self.data
         amps.setflags(write=False)
         return amps
@@ -444,18 +451,10 @@ class StateVector:
         return StateVector(self.space, self.data / self.norm())
 
     def inner(self, other: "StateVector") -> complex:
-        """<self|other>; states on different spaces meet in the full register.
-
-        Summed as real dot products of the real and imaginary parts, the
-        four sums a complex BLAS dot accumulates: on the toy's sector this
-        rounds exactly as the complex dot over the full register did, so
-        BFGS stops where it did before states lived on their sector.
-        """
+        """<self|other>, one BLAS dot (a real one for real states); states on
+        different spaces meet in the full register."""
         if self.space is other.space:
-            ar, ai = self.data.real, self.data.imag
-            br, bi = other.data.real, other.data.imag
-            return complex(np.dot(ar, br) + np.dot(ai, bi),
-                           np.dot(ar, bi) - np.dot(ai, br))
+            return complex(np.vdot(self.data, other.data))
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def top_amplitudes(self) -> list[dict]:
@@ -485,7 +484,7 @@ def hf_state(n_qubits: int, n_alpha: int, n_beta: int) -> StateVector:
                                  f"outside {n_qubits} qubits")
             index |= 1 << bit
     space = sector_space(n_qubits, n_alpha, n_beta)
-    data = np.zeros(space.dim, dtype=complex)
+    data = np.zeros(space.dim)
     data[np.searchsorted(space.indices, index)] = 1.0
     return StateVector(space, data)
 
@@ -499,7 +498,8 @@ def apply_paulisum(h: PauliSum, v: StateVector) -> StateVector:
 
 
 def apply_generators(gens: list[PauliSum], v: StateVector) -> np.ndarray:
-    """Rows gens[l]|v> as one (len(gens), dim) complex array.
+    """Rows gens[l]|v> as one (len(gens), dim) array, real when v and every
+    generator are.
 
     When gens are the members of one bound group, in order, this is one
     product with the group's stacked matrix; otherwise one product per
@@ -513,8 +513,8 @@ def apply_generators(gens: list[PauliSum], v: StateVector) -> np.ndarray:
     if group is not None and len(gens) == len(group.excitations) and all(
             _cache(a).get("group") == (group, l) for l, a in enumerate(gens)):
         return _matvec(group.stack(v.space), v.data).reshape(len(gens), -1)
-    return np.array([_matvec(_compiled(a, v.space).matrix, v.data) for a in gens],
-                    dtype=complex).reshape(len(gens), v.space.dim)
+    return np.array([_matvec(_compiled(a, v.space).matrix, v.data) for a in gens]
+                    ).reshape(len(gens), v.space.dim)
 
 
 def _generator(a: PauliSum, space: Space) -> _Compiled:
@@ -542,7 +542,7 @@ def exp_apply(a: PauliSum, theta: float, v: StateVector) -> StateVector:
     over the spectral projectors of its connected blocks (_exp_stack): one
     product of the cached stack [R; Q] with v, and a sum of its slabs
     weighted by the trigonometric coefficients of their rows.  A real
-    generator's stack is real, so real amplitudes stay exactly real.
+    generator's stack is real, so a real state stays float64.
     """
     if a.n_qubits != v.n_qubits:
         raise ValueError("register size mismatch")

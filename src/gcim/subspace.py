@@ -4,12 +4,12 @@ generalized eigenvalue problem.
 A basis vector is described by a recipe: an ordered list of
 (pool index, theta) rotations applied to the reference determinant.  The
 projected pair (H, S) grows one column per new state: column j of H and of
-S is one product of the stacked conjugated states 0..j with H|psi_j> and
-|psi_j>, the same product whether the pair is built fresh or extended, and
-the lower triangle is its conjugate mirror.  The pair is solved by
-eigendecomposing S, keeping eigenvalues above a threshold (canonical
-orthogonalization) and diagonalizing the projected Hamiltonian in that
-subspace.
+S is one vecdot of the stacked states 0..j with H|psi_j> and |psi_j>, the
+same product whether the pair is built fresh or extended, and the lower
+triangle is its conjugate mirror.  The pair is real when the states and
+H|psi_j> are, and is solved in its own dtype by eigendecomposing S,
+keeping eigenvalues above a threshold (canonical orthogonalization) and
+diagonalizing the projected Hamiltonian in that subspace.
 """
 
 from __future__ import annotations
@@ -129,11 +129,13 @@ def build_matrices(basis: SubspaceBasis, h: PauliSum) -> tuple[np.ndarray, np.nd
     The pair is cached on the basis and extended by the states appended
     since the last call; a different h, or a state list that no longer
     starts with the cached states, rebuilds it.  Column j above the
-    diagonal is one product of the conjugated states 0..j, stacked, with
-    H|psi_j> and |psi_j>, so an extension computes exactly what a fresh
-    build does.  The diagonal keeps its real part and the lower triangle
-    is the conjugate mirror, so both matrices are exactly Hermitian.  The
-    returned arrays are read-only.
+    diagonal is one vecdot of the states 0..j, stacked, with H|psi_j> and
+    |psi_j>, a BLAS dot per entry, so an extension computes exactly what a
+    fresh build does, and every entry is StateVector.inner's value to the
+    last bit.  The diagonal keeps its real part and the lower triangle is
+    the conjugate mirror, so both matrices are exactly Hermitian.  Both are
+    in the common dtype of the states and H|psi_j>, real for a real problem.
+    The returned arrays are read-only.
     """
     states = basis.states
     if not states:
@@ -141,20 +143,20 @@ def build_matrices(basis: SubspaceBasis, h: PauliSum) -> tuple[np.ndarray, np.nd
     pair = basis.pair
     if (pair is None or pair.h is not h or len(pair.states) > len(states)
             or any(a is not b for a, b in zip(pair.states, states))):
-        empty = np.zeros((0, 0), dtype=complex)
+        empty = np.zeros((0, 0))
         pair = ProjectedPair(h, [], [], empty, empty)
     m0, m = len(pair.states), len(states)
     if m0 < m:
         h_kets = pair.h_kets + [apply_paulisum(h, psi) for psi in states[m0:]]
-        h_mat = np.zeros((m, m), dtype=complex)
-        s_mat = np.zeros((m, m), dtype=complex)
+        kets = np.array([psi.data for psi in states])
+        dtype = np.result_type(kets, *(w.data for w in h_kets))
+        h_mat = np.zeros((m, m), dtype=dtype)
+        s_mat = np.zeros((m, m), dtype=dtype)
         h_mat[:m0, :m0] = pair.h_mat
         s_mat[:m0, :m0] = pair.s_mat
-        kets = np.array([psi.data for psi in states])
         for j in range(m0, m):
-            bras = kets[:j + 1].conj()
             for mat, ket in ((h_mat, h_kets[j].data), (s_mat, kets[j])):
-                col = bras @ ket
+                col = np.vecdot(kets[:j + 1], ket)
                 mat[:j, j] = col[:j]
                 mat[j, :j] = col[:j].conj()
                 mat[j, j] = col[j].real
@@ -207,10 +209,10 @@ def solve_gevp(h_mat: np.ndarray, s_mat: np.ndarray,
 
     S = U D U†; directions with D_ii <= s_threshold are dropped, the
     problem is solved in the kept eigenspace and eigenvectors are
-    back-transformed to the original coordinates.
+    back-transformed to the original coordinates.  The solve runs in the
+    pair's common dtype, so a real pair has real eigenvectors.
     """
-    h_mat = np.asarray(h_mat, dtype=complex)
-    s_mat = np.asarray(s_mat, dtype=complex)
+    h_mat, s_mat = np.asarray(h_mat), np.asarray(s_mat)
     if h_mat.shape != s_mat.shape or h_mat.shape[0] != h_mat.shape[1]:
         raise ValueError("matrix shape mismatch")
     h_mat = 0.5 * (h_mat + h_mat.conj().T)
@@ -268,10 +270,10 @@ def orthogonalize_basis(basis: SubspaceBasis) -> SubspaceBasis:
     kept_states: list[StateVector] = []
     kept_recipes: list[BasisRecipe] = []
     for recipe, psi in zip(basis.recipes, basis.states):
-        v = psi.data.copy()
+        v = psi.data
         for _ in range(2):
             for q in kept_states:
-                v -= np.vdot(q.data, v) * q.data
+                v = v - np.vdot(q.data, v) * q.data
         nrm = np.linalg.norm(v)
         if nrm < 1e-10:
             continue

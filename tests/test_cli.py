@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -235,6 +236,27 @@ def test_noise_csv_matches_golden(tmp_path, mode):
     for row, ref in zip(got[1:], want[1:]):
         assert [float(v) for v in row] == pytest.approx([float(v) for v in ref],
                                                         rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("mode", ["binomial-exact", "gaussian"])
+def test_noise_warns_when_runs_keep_a_direction_the_exact_solve_drops(tmp_path, capsys, mode):
+    # configs/toy_noise.json at seed 7: the exact solve keeps 3 of 4
+    # directions; at tau 1e8 some noisy solves keep 4 and miss by O(10) Ha,
+    # which mean_error averages in, so each such cell is named on stderr
+    doc = json.loads((CONFIG_DIR / "toy_noise.json").read_text())
+    doc["shots"]["mode"] = mode
+    cfg_path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    argv = ["noise", "--config", str(cfg_path), "--seed", "7", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    warning = re.compile(r"gcim: warning: tau 1e\+08, importance sampling ([01]): (\d+) of 100 "
+                         r"runs keep more than the exact solve's 3 directions")
+    found = [warning.fullmatch(line) for line in capsys.readouterr().err.splitlines()]
+    assert [m and m[1] for m in found] == ["0", "1"]
+    assert all(0 < int(m[2]) < 100 for m in found)
+    rows = list(csv.reader((out / "noise.csv").read_text().splitlines()))
+    assert rows[0] == ["tau", "importance_sampling", "mean_error", "ci_low", "ci_high"]
+    assert len(rows) == 11
 
 
 def test_noise_rejects_shot_counts_past_int64(tmp_path, capsys):
