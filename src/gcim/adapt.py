@@ -15,7 +15,11 @@ Five variants share the machinery here:
 * adapt-gcim-mn       -- adapt-gcim with at most n optimizer rounds every
                          m-th iteration.
 
-run_algorithm runs the variant that AdaptConfig.algorithm names.
+run_algorithm runs the variant that AdaptConfig.algorithm names.  The three
+adapt-vqe variants differ only in what they solve over the ADAPT-VQE
+trajectory, never in the trajectory itself, so one VqeLoop (operator
+screening, BFGS re-optimization, the ansatz state per iteration and the stop
+reason) serves all three; each variant is a cheap tail over it.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ ADAPT_VQE_GCIM_1 = "adapt-vqe-gcim-1"
 ADAPT_GCIM_MN = "adapt-gcim-mn"
 
 ALGORITHMS = (ADAPT_GCIM, ADAPT_VQE, ADAPT_VQE_GCIM, ADAPT_VQE_GCIM_1, ADAPT_GCIM_MN)
+VQE_FAMILY = (ADAPT_VQE, ADAPT_VQE_GCIM, ADAPT_VQE_GCIM_1)
 
 MONOTONE_SLACK = 1e-10
 
@@ -189,6 +194,13 @@ def select_operator(surrogate: StateVector, h: PauliSum, pool: list[PoolOperator
     return candidates[_first_largest(np.abs(grads[candidates]))], grads
 
 
+def _screen_fields(grads: np.ndarray) -> dict:
+    """The IterationRecord fields of one pool screen."""
+    mags = np.abs(grads)
+    return {"gradients": [float(g) for g in grads],
+            "gradient_max": float(np.max(mags)), "gradient_sum": float(np.sum(mags))}
+
+
 def _first_largest(mags: np.ndarray) -> int:
     """Index of the first entry within rounding (1e-12 relative) of the max.
 
@@ -307,10 +319,7 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
 
         trace.records.append(IterationRecord(
             iteration=k, selected_index=sel, selected_label=pool[sel].label,
-            gradients=[float(g) for g in grads],
-            gradient_max=float(np.max(np.abs(grads))),
-            gradient_sum=float(np.sum(np.abs(grads))),
-            epsilon0=eps0, vqe_energy=None,
+            **_screen_fields(grads), epsilon0=eps0, vqe_energy=None,
             subspace_dim=len(basis), kept_dim=result.kept_dim,
             opt_rounds=opt_rounds,
             product_recipe=list(product.steps),
@@ -338,28 +347,57 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
 # VQE family
 
 
-def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
-                    config: AdaptConfig) -> AdaptTrace:
-    """adapt-vqe; adapt-vqe-gcim solves the subspace after every iteration,
-    adapt-vqe-gcim-1 once at the end over one generating function per
-    rotation of the final ansatz plus the ansatz itself."""
-    each_iteration = config.algorithm == ADAPT_VQE_GCIM
-    trace = AdaptTrace(algorithm=config.algorithm)
+@dataclass
+class VqeIteration:
+    """One ADAPT-VQE iteration: the screen, the re-optimized ansatz and its state."""
+
+    selected_index: int
+    gradients: np.ndarray
+    energy: float
+    opt_rounds: int
+    recipe: BasisRecipe
+    state: StateVector
+
+
+@dataclass
+class VqeLoop:
+    """The ADAPT-VQE trajectory of one system under one (max_iterations,
+    vqe_grad_tol); every VQE-family variant is a tail over it."""
+
+    h: PauliSum
+    pool: list[PoolOperator]
+    reference: StateVector
+    max_iterations: int
+    vqe_grad_tol: float
+    energy: float                   # final VQE energy; the reference's with no iteration
+    iterations: list[VqeIteration] = field(default_factory=list)
+    converged: bool = False
+    reason: str = ""
+    time_gradients: float = 0.0
+    time_energy: float = 0.0
+
+    @property
+    def state(self) -> StateVector:
+        return self.iterations[-1].state if self.iterations else self.reference
+
+
+def vqe_loop(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
+             config: AdaptConfig) -> VqeLoop:
+    """Grow the ansatz by the largest-gradient operator and re-optimize all
+    its parameters by BFGS until the gradient sum drops below
+    config.vqe_grad_tol or config.max_iterations have run."""
+    loop = VqeLoop(h, pool, reference, config.max_iterations, config.vqe_grad_tol,
+                   energy=float(apply_paulisum(h, reference).inner(reference).real))
     recipe = BasisRecipe()
     thetas = np.zeros(0)
     state = reference
-    energy = apply_paulisum(h, reference).inner(reference).real
-    basis = SubspaceBasis(reference=reference, pool=pool)
-    result: GevpResult | None = None
-
-    for k in range(1, config.max_iterations + 1):
+    for _ in range(config.max_iterations):
         tick = time.perf_counter()
         sel, grads = select_operator(state, h, pool)
-        trace.time_gradients += time.perf_counter() - tick
-        gsum = float(np.sum(np.abs(grads)))
-        if gsum < config.vqe_grad_tol:
-            trace.converged = True
-            trace.reason = "gradient_norm"
+        loop.time_gradients += time.perf_counter() - tick
+        if np.sum(np.abs(grads)) < config.vqe_grad_tol:
+            loop.converged = True
+            loop.reason = "gradient_norm"
             break
 
         recipe = recipe.extended(sel, 0.0)
@@ -369,56 +407,92 @@ def _run_vqe_family(h: PauliSum, pool: list[PoolOperator], reference: StateVecto
         thetas, energy, rounds = vqe_minimize(h, pool, recipe, reference, theta0=thetas)
         recipe = recipe.with_thetas(thetas)
         state = prepare_state(recipe, pool, reference)
+        loop.time_energy += time.perf_counter() - tick
+        loop.energy = energy
+        loop.iterations.append(VqeIteration(sel, grads, energy, rounds, recipe, state))
+    else:
+        loop.reason = "max_iterations"
+    return loop
 
+
+def _run_vqe_family(loop: VqeLoop, config: AdaptConfig) -> AdaptTrace:
+    """adapt-vqe reads the loop as it is; adapt-vqe-gcim solves the subspace
+    after every iteration, adapt-vqe-gcim-1 once at the end over one
+    generating function per rotation of the final ansatz plus the ansatz
+    itself."""
+    each_iteration = config.algorithm == ADAPT_VQE_GCIM
+    trace = AdaptTrace(algorithm=config.algorithm, converged=loop.converged,
+                       reason=loop.reason, final_vqe_energy=loop.energy,
+                       final_state=loop.state, time_gradients=loop.time_gradients,
+                       time_energy=loop.time_energy)
+    basis = SubspaceBasis(reference=loop.reference, pool=loop.pool)
+    result: GevpResult | None = None
+
+    for k, it in enumerate(loop.iterations, start=1):
         eps0 = kept = eigenvalues = None
         if each_iteration:
-            basis.append(BasisRecipe((recipe.steps[-1],)))
-            basis.append(recipe, state=state)
-            result = solve_gevp(*build_matrices(basis, h), config.s_threshold)
+            tick = time.perf_counter()
+            basis.append(BasisRecipe((it.recipe.steps[-1],)))
+            basis.append(it.recipe, state=it.state)
+            result = solve_gevp(*build_matrices(basis, loop.h), config.s_threshold)
+            trace.time_energy += time.perf_counter() - tick
             eps0 = result.ground_energy
             kept = result.kept_dim
             eigenvalues = [float(e) for e in result.eigenvalues]
-            if eps0 > energy + MONOTONE_SLACK:
+            if eps0 > it.energy + MONOTONE_SLACK:
                 raise RuntimeError(
-                    f"subspace eigenvalue {eps0} exceeds the variational bound "
-                    f"{energy} at iteration {k}")
-        trace.time_energy += time.perf_counter() - tick
-
+                    f"{config.algorithm}: subspace eigenvalue {eps0} exceeds the "
+                    f"variational bound {it.energy} at iteration {k}")
         trace.records.append(IterationRecord(
-            iteration=k, selected_index=sel, selected_label=pool[sel].label,
-            gradients=[float(g) for g in grads],
-            gradient_max=float(np.max(np.abs(grads))), gradient_sum=gsum,
-            epsilon0=eps0, vqe_energy=float(energy),
-            subspace_dim=len(basis) if each_iteration else len(recipe),
-            kept_dim=kept, opt_rounds=rounds,
-            product_recipe=list(recipe.steps), eigenvalues=eigenvalues))
-    else:
-        trace.reason = "max_iterations"
+            iteration=k, selected_index=it.selected_index,
+            selected_label=loop.pool[it.selected_index].label,
+            **_screen_fields(it.gradients), epsilon0=eps0, vqe_energy=it.energy,
+            subspace_dim=len(basis) if each_iteration else len(it.recipe),
+            kept_dim=kept, opt_rounds=it.opt_rounds,
+            product_recipe=list(it.recipe.steps), eigenvalues=eigenvalues))
 
-    trace.final_vqe_energy = float(energy)
-    trace.final_state = state
-    if config.algorithm == ADAPT_VQE_GCIM_1 and len(recipe) > 0:
-        for step in recipe.steps:
-            basis.append(BasisRecipe((step,)))
-        basis.append(recipe, state=state)
+    if config.algorithm == ADAPT_VQE_GCIM_1 and loop.iterations:
         tick = time.perf_counter()
-        result = solve_gevp(*build_matrices(basis, h), config.s_threshold)
+        final = loop.iterations[-1]
+        for step in final.recipe.steps:
+            basis.append(BasisRecipe((step,)))
+        basis.append(final.recipe, state=final.state)
+        result = solve_gevp(*build_matrices(basis, loop.h), config.s_threshold)
         trace.time_energy += time.perf_counter() - tick
-        if result.ground_energy > energy + MONOTONE_SLACK:
-            raise RuntimeError("one-shot eigenvalue exceeds the variational bound")
+        if result.ground_energy > loop.energy + MONOTONE_SLACK:
+            raise RuntimeError(
+                f"{config.algorithm}: one-shot eigenvalue {result.ground_energy} "
+                f"exceeds the variational bound {loop.energy} at iteration "
+                f"{len(loop.iterations)}")
     if result is not None:
         trace.attach_subspace(result, basis)
     else:
-        trace.final_energy = float(energy)
+        trace.final_energy = loop.energy
     return trace
 
 
 def run_algorithm(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
-                  config: AdaptConfig) -> AdaptTrace:
-    """Run the variant that config.algorithm names."""
-    if config.algorithm in (ADAPT_GCIM, ADAPT_GCIM_MN):
+                  config: AdaptConfig, loop: VqeLoop | None = None) -> AdaptTrace:
+    """Run the variant that config.algorithm names.
+
+    A VQE-family variant reads `loop`, the system's ADAPT-VQE trajectory,
+    and runs vqe_loop itself when none is given; one loop serves all three
+    variants.  The GCIM family ignores `loop`.
+    """
+    if config.algorithm not in VQE_FAMILY:
         return _run_gcim_family(h, pool, reference, config)
-    return _run_vqe_family(h, pool, reference, config)
+    if loop is None:
+        loop = vqe_loop(h, pool, reference, config)
+    elif not (loop.h is h and loop.pool is pool and loop.reference is reference):
+        raise ValueError(f"{config.algorithm}: the ADAPT-VQE loop was built for "
+                         "another system")
+    elif (loop.max_iterations, loop.vqe_grad_tol) != (config.max_iterations,
+                                                      config.vqe_grad_tol):
+        raise ValueError(
+            f"{config.algorithm}: the ADAPT-VQE loop was built under max_iterations "
+            f"{loop.max_iterations}, vqe_grad_tol {loop.vqe_grad_tol}; the config "
+            f"asks for {config.max_iterations}, {config.vqe_grad_tol}")
+    return _run_vqe_family(loop, config)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import jsonschema
 
-from .adapt import ADAPT_GCIM, AdaptConfig, AdaptTrace, IterationRecord, run_algorithm
+from .adapt import (ADAPT_GCIM, VQE_FAMILY, AdaptConfig, AdaptTrace, IterationRecord,
+                    VqeLoop, run_algorithm, vqe_loop)
 from .fcidump import parse_fcidump, assemble_hamiltonian
 from .fermion import jordan_wigner
 from .pauli import PauliSum, ResourceLimitError, parse_pauli_json
@@ -312,9 +313,9 @@ def _exact_reference(cfg: RunConfig, system: System) -> ExactSpectrum | None:
 
 
 def _execute(cfg: RunConfig, algorithm: str, system: System, out_dir: Path,
-             spectrum: ExactSpectrum | None) -> AdaptTrace:
+             spectrum: ExactSpectrum | None, loop: VqeLoop | None) -> AdaptTrace:
     trace = run_algorithm(system.h, system.pool, system.reference,
-                          cfg.adapt_config(algorithm))
+                          cfg.adapt_config(algorithm), loop)
     if spectrum is not None:
         trace.attach_exact(spectrum)
     _atomic_write(out_dir / "trace.jsonl", trace_jsonl(trace))
@@ -330,13 +331,19 @@ def _execute(cfg: RunConfig, algorithm: str, system: System, out_dir: Path,
 def _run_algorithms(cfg: RunConfig) -> tuple[System, dict[str, AdaptTrace], int]:
     """Build the system, compute its oracle once and run every configured
     algorithm, writing its artifacts to out_dir (one algorithm) or
-    out_dir/<algorithm> (several).  Returns the exit status with the rest."""
+    out_dir/<algorithm> (several).  The ADAPT-VQE loop runs once, at the
+    first VQE-family algorithm, and serves the others.  Returns the exit
+    status with the rest."""
     system = build_system(cfg)
     spectrum = _exact_reference(cfg, system)
     single = len(cfg.algorithms) == 1
-    traces = {alg: _execute(cfg, alg, system,
-                            cfg.out_dir if single else cfg.out_dir / alg, spectrum)
-              for alg in cfg.algorithms}
+    loop: VqeLoop | None = None
+    traces = {}
+    for alg in cfg.algorithms:
+        if loop is None and alg in VQE_FAMILY:
+            loop = vqe_loop(system.h, system.pool, system.reference, cfg.adapt_config(alg))
+        traces[alg] = _execute(cfg, alg, system,
+                               cfg.out_dir if single else cfg.out_dir / alg, spectrum, loop)
     converged = all(t.converged for t in traces.values())
     return system, traces, EXIT_OK if converged else EXIT_UNCONVERGED
 

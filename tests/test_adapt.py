@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from gcim.adapt import (
     ADAPT_VQE_GCIM,
     ADAPT_VQE_GCIM_1,
     ALGORITHMS,
+    VQE_FAMILY,
     AdaptConfig,
     ansatz_energy_gradient,
     gcim_energy_gradient,
     pool_gradients,
     run_algorithm,
     select_operator,
+    vqe_loop,
     vqe_minimize,
 )
 from gcim.pauli import PauliSum
@@ -253,6 +257,56 @@ def test_one_shot_single_rotation_matches_two_by_two(toy):
     s22 = np.ones((2, 2), dtype=complex)
     oracle = solve_gevp(h22, s22, 1e-13).eigenvalues[0]
     assert trace.final_energy == pytest.approx(oracle, abs=1e-9)
+
+
+def _assert_same_trace(got, want, h):
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert vars(a) == vars(b)
+    assert (got.converged, got.reason) == (want.converged, want.reason)
+    assert got.final_energy == want.final_energy
+    assert got.final_vqe_energy == want.final_vqe_energy
+    assert np.array_equal(got.final_state.data, want.final_state.data)
+    assert (got.basis is None) == (want.basis is None)
+    if got.basis is not None:
+        for m_got, m_want in zip(build_matrices(got.basis, h), build_matrices(want.basis, h)):
+            assert np.array_equal(m_got, m_want)
+
+
+def _check_shared_loop(system, order):
+    # each variant read from one loop, built under the first variant's
+    # config, equals the same variant run on its own, whatever the order
+    h, pool, ref = system
+    loop = vqe_loop(h, pool, ref, AdaptConfig(algorithm=order[0]))
+    shared = [run_algorithm(h, pool, ref, AdaptConfig(algorithm=a), loop) for a in order]
+    for algorithm, trace in zip(order, shared):
+        alone = run_algorithm(h, pool, ref, AdaptConfig(algorithm=algorithm))
+        assert trace.algorithm == algorithm
+        _assert_same_trace(trace, alone, h)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(VQE_FAMILY)))
+def test_shared_loop_equals_separate_runs_toy(toy, order):
+    _check_shared_loop(toy, order)
+
+
+def test_shared_loop_equals_separate_runs_h4(h4):
+    _check_shared_loop(h4, VQE_FAMILY)
+
+
+def test_loop_built_under_other_settings_is_rejected(toy):
+    h, pool, ref = toy
+    loop = vqe_loop(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE, max_iterations=3))
+    with pytest.raises(ValueError, match="max_iterations 3"):
+        run_algorithm(h, pool, ref,
+                      AdaptConfig(algorithm=ADAPT_VQE_GCIM, max_iterations=4), loop)
+    with pytest.raises(ValueError, match="vqe_grad_tol"):
+        run_algorithm(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE, max_iterations=3,
+                                                vqe_grad_tol=1e-3), loop)
+    other_ref = hf_state(h.n_qubits, 1, 1)  # equal to ref, but not the loop's
+    with pytest.raises(ValueError, match="another system"):
+        run_algorithm(h, pool, other_ref,
+                      AdaptConfig(algorithm=ADAPT_VQE, max_iterations=3), loop)
 
 
 def test_gcim_mn_limits(toy):

@@ -206,6 +206,69 @@ def test_compare_toy_all_variants(tmp_path):
         assert (out / alg / "summary.json").exists()
 
 
+def test_compare_runs_the_vqe_loop_once(tmp_path, monkeypatch, h4_path):
+    # the three VQE-family variants read one ADAPT-VQE loop, so a compare
+    # re-optimizes as often as adapt-vqe alone does
+    from gcim import adapt
+
+    calls = []
+    real = adapt.vqe_minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adapt, "vqe_minimize", counting)
+    counts = {}
+    for verb, algorithms in (("run", ["adapt-vqe"]),
+                             ("compare", ["adapt-gcim", "adapt-vqe", "adapt-vqe-gcim",
+                                          "adapt-vqe-gcim-1"])):
+        calls.clear()
+        out = tmp_path / verb
+        doc = {"hamiltonian": {"fcidump": str(h4_path)}, "algorithms": algorithms,
+               "out_dir": str(out)}
+        assert main([verb, "--config", str(_write_config(tmp_path, doc))]) == EXIT_OK
+        counts[verb] = len(calls)
+    iterations = len((tmp_path / "run" / "trace.jsonl").read_text().splitlines())
+    assert counts["compare"] == counts["run"] == iterations > 1
+
+
+@pytest.mark.parametrize("variant", ["adapt-vqe-gcim", "adapt-vqe-gcim-1"])
+def test_variational_bound_failure_names_the_variant(tmp_path, capsys, monkeypatch,
+                                                     variant):
+    # an eigensolver that reports every eigenvalue 1 hartree too high breaks
+    # the bound; the algorithms before the failing one keep their artifacts
+    from gcim import adapt
+
+    solved = []
+    real = adapt.solve_gevp
+
+    def shifted(*args):
+        result = real(*args)
+        solved.append(dataclasses.replace(result, eigenvalues=result.eigenvalues + 1.0))
+        return solved[-1]
+
+    monkeypatch.setattr(adapt, "solve_gevp", shifted)
+    doc = _toy_doc(tmp_path, algorithms=["adapt-gcim", "adapt-vqe", variant])
+    assert main(["compare", "--config", str(_write_config(tmp_path, doc))]) == EXIT_ERROR
+    out = tmp_path / "out"
+    for alg in ("adapt-gcim", "adapt-vqe"):
+        for name in ("trace.jsonl", "summary.json", "convergence.csv"):
+            assert (out / alg / name).exists()
+    assert not (out / variant / "summary.json").exists()
+    assert not (out / "compare.csv").exists()
+    vqe = json.loads((out / "adapt-vqe" / "summary.json").read_text())
+    first = json.loads((out / "adapt-vqe" / "trace.jsonl").read_text().splitlines()[0])
+    if variant == "adapt-vqe-gcim":
+        want = (f"adapt-vqe-gcim: subspace eigenvalue {solved[-1].ground_energy} exceeds "
+                f"the variational bound {first['vqe_energy']} at iteration 1")
+    else:
+        want = (f"adapt-vqe-gcim-1: one-shot eigenvalue {solved[-1].ground_energy} "
+                f"exceeds the variational bound {vqe['final_vqe_energy']} at iteration "
+                f"{vqe['iterations']}")
+    assert capsys.readouterr().err == f"gcim: error: {want}\n"
+
+
 def test_noise_sweep_csv(tmp_path):
     doc = _toy_doc(tmp_path, tau_grid=[1e10], noise_runs=10,
                    shots={"mode": "gaussian"})
