@@ -17,13 +17,14 @@ Five variants share the machinery here:
 
 run_algorithm runs the variant that AdaptConfig.algorithm names.  The three
 adapt-vqe variants differ only in what they solve over the ADAPT-VQE
-trajectory, never in the trajectory itself, so one VqeLoop (operator
-screening, BFGS re-optimization, the ansatz state per iteration and the stop
-reason) serves all three; each variant is a cheap tail over it.
+trajectory, so one VqeLoop serves all three: adapt-vqe's trace plus the
+ansatz state after each iteration.  adapt-vqe returns a copy of that trace;
+the other two fill in the subspace fields of their copies.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -348,37 +349,18 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
 
 
 @dataclass
-class VqeIteration:
-    """One ADAPT-VQE iteration: the screen, the re-optimized ansatz and its state."""
-
-    selected_index: int
-    gradients: np.ndarray
-    energy: float
-    opt_rounds: int
-    recipe: BasisRecipe
-    state: StateVector
-
-
-@dataclass
 class VqeLoop:
     """The ADAPT-VQE trajectory of one system under one (max_iterations,
-    vqe_grad_tol); every VQE-family variant is a tail over it."""
+    vqe_grad_tol): adapt-vqe's trace and the ansatz state after each of its
+    iterations.  Every VQE-family variant fills in a copy of the trace."""
 
     h: PauliSum
     pool: list[PoolOperator]
     reference: StateVector
     max_iterations: int
     vqe_grad_tol: float
-    energy: float                   # final VQE energy; the reference's with no iteration
-    iterations: list[VqeIteration] = field(default_factory=list)
-    converged: bool = False
-    reason: str = ""
-    time_gradients: float = 0.0
-    time_energy: float = 0.0
-
-    @property
-    def state(self) -> StateVector:
-        return self.iterations[-1].state if self.iterations else self.reference
+    trace: AdaptTrace
+    states: list[StateVector] = field(default_factory=list)
 
 
 def vqe_loop(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
@@ -386,88 +368,81 @@ def vqe_loop(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
     """Grow the ansatz by the largest-gradient operator and re-optimize all
     its parameters by BFGS until the gradient sum drops below
     config.vqe_grad_tol or config.max_iterations have run."""
-    loop = VqeLoop(h, pool, reference, config.max_iterations, config.vqe_grad_tol,
-                   energy=float(apply_paulisum(h, reference).inner(reference).real))
+    trace = AdaptTrace(algorithm=ADAPT_VQE)
+    loop = VqeLoop(h, pool, reference, config.max_iterations, config.vqe_grad_tol, trace)
     recipe = BasisRecipe()
-    thetas = np.zeros(0)
     state = reference
-    for _ in range(config.max_iterations):
+    energy = float(apply_paulisum(h, reference).inner(reference).real)
+    for k in range(1, config.max_iterations + 1):
         tick = time.perf_counter()
         sel, grads = select_operator(state, h, pool)
-        loop.time_gradients += time.perf_counter() - tick
+        trace.time_gradients += time.perf_counter() - tick
         if np.sum(np.abs(grads)) < config.vqe_grad_tol:
-            loop.converged = True
-            loop.reason = "gradient_norm"
+            trace.converged = True
+            trace.reason = "gradient_norm"
             break
 
-        recipe = recipe.extended(sel, 0.0)
-        thetas = np.append(thetas, 0.0)
-
         tick = time.perf_counter()
-        thetas, energy, rounds = vqe_minimize(h, pool, recipe, reference, theta0=thetas)
+        recipe = recipe.extended(sel, 0.0)
+        thetas, energy, rounds = vqe_minimize(h, pool, recipe, reference)
         recipe = recipe.with_thetas(thetas)
         state = prepare_state(recipe, pool, reference)
-        loop.time_energy += time.perf_counter() - tick
-        loop.energy = energy
-        loop.iterations.append(VqeIteration(sel, grads, energy, rounds, recipe, state))
+        trace.time_energy += time.perf_counter() - tick
+        trace.records.append(IterationRecord(
+            iteration=k, selected_index=sel, selected_label=pool[sel].label,
+            **_screen_fields(grads), epsilon0=None, vqe_energy=energy,
+            subspace_dim=len(recipe), kept_dim=None, opt_rounds=rounds,
+            product_recipe=list(recipe.steps)))
+        loop.states.append(state)
     else:
-        loop.reason = "max_iterations"
+        trace.reason = "max_iterations"
+    trace.final_energy = trace.final_vqe_energy = energy
+    trace.final_state = state
     return loop
 
 
 def _run_vqe_family(loop: VqeLoop, config: AdaptConfig) -> AdaptTrace:
-    """adapt-vqe reads the loop as it is; adapt-vqe-gcim solves the subspace
-    after every iteration, adapt-vqe-gcim-1 once at the end over one
-    generating function per rotation of the final ansatz plus the ansatz
-    itself."""
-    each_iteration = config.algorithm == ADAPT_VQE_GCIM
-    trace = AdaptTrace(algorithm=config.algorithm, converged=loop.converged,
-                       reason=loop.reason, final_vqe_energy=loop.energy,
-                       final_state=loop.state, time_gradients=loop.time_gradients,
-                       time_energy=loop.time_energy)
+    """adapt-vqe is a copy of the loop's trace; adapt-vqe-gcim fills in its
+    records from a subspace solve after every iteration, adapt-vqe-gcim-1
+    adds one solve at the end over one generating function per rotation of
+    the final ansatz plus the ansatz itself."""
+    # the copy shares nothing mutable with the loop; the final state is
+    # immutable and stays shared, since fast paths test its space's identity
+    trace = copy.deepcopy(loop.trace, {id(loop.trace.final_state): loop.trace.final_state})
+    trace.algorithm = config.algorithm
     basis = SubspaceBasis(reference=loop.reference, pool=loop.pool)
     result: GevpResult | None = None
 
-    for k, it in enumerate(loop.iterations, start=1):
-        eps0 = kept = eigenvalues = None
-        if each_iteration:
+    if config.algorithm == ADAPT_VQE_GCIM:
+        for rec, state in zip(trace.records, loop.states):
             tick = time.perf_counter()
-            basis.append(BasisRecipe((it.recipe.steps[-1],)))
-            basis.append(it.recipe, state=it.state)
+            basis.append(BasisRecipe((rec.product_recipe[-1],)))
+            basis.append(BasisRecipe(tuple(rec.product_recipe)), state=state)
             result = solve_gevp(*build_matrices(basis, loop.h), config.s_threshold)
             trace.time_energy += time.perf_counter() - tick
-            eps0 = result.ground_energy
-            kept = result.kept_dim
-            eigenvalues = [float(e) for e in result.eigenvalues]
-            if eps0 > it.energy + MONOTONE_SLACK:
+            if result.ground_energy > rec.vqe_energy + MONOTONE_SLACK:
                 raise RuntimeError(
-                    f"{config.algorithm}: subspace eigenvalue {eps0} exceeds the "
-                    f"variational bound {it.energy} at iteration {k}")
-        trace.records.append(IterationRecord(
-            iteration=k, selected_index=it.selected_index,
-            selected_label=loop.pool[it.selected_index].label,
-            **_screen_fields(it.gradients), epsilon0=eps0, vqe_energy=it.energy,
-            subspace_dim=len(basis) if each_iteration else len(it.recipe),
-            kept_dim=kept, opt_rounds=it.opt_rounds,
-            product_recipe=list(it.recipe.steps), eigenvalues=eigenvalues))
-
-    if config.algorithm == ADAPT_VQE_GCIM_1 and loop.iterations:
+                    f"{config.algorithm}: subspace eigenvalue {result.ground_energy} "
+                    f"exceeds the variational bound {rec.vqe_energy} at iteration "
+                    f"{rec.iteration}")
+            rec.epsilon0, rec.kept_dim = result.ground_energy, result.kept_dim
+            rec.subspace_dim = len(basis)
+            rec.eigenvalues = [float(e) for e in result.eigenvalues]
+    elif config.algorithm == ADAPT_VQE_GCIM_1 and trace.records:
         tick = time.perf_counter()
-        final = loop.iterations[-1]
-        for step in final.recipe.steps:
+        steps = trace.records[-1].product_recipe
+        for step in steps:
             basis.append(BasisRecipe((step,)))
-        basis.append(final.recipe, state=final.state)
+        basis.append(BasisRecipe(tuple(steps)), state=loop.states[-1])
         result = solve_gevp(*build_matrices(basis, loop.h), config.s_threshold)
         trace.time_energy += time.perf_counter() - tick
-        if result.ground_energy > loop.energy + MONOTONE_SLACK:
+        if result.ground_energy > trace.final_vqe_energy + MONOTONE_SLACK:
             raise RuntimeError(
                 f"{config.algorithm}: one-shot eigenvalue {result.ground_energy} "
-                f"exceeds the variational bound {loop.energy} at iteration "
-                f"{len(loop.iterations)}")
+                f"exceeds the variational bound {trace.final_vqe_energy} at iteration "
+                f"{trace.iterations}")
     if result is not None:
         trace.attach_subspace(result, basis)
-    else:
-        trace.final_energy = loop.energy
     return trace
 
 

@@ -77,12 +77,12 @@ class EntryEstimator:
     """Real decomposition sum_k c_k p_k of one matrix entry plus shot counts."""
 
     coeffs: np.ndarray            # real c_k
-    p_values: np.ndarray          # exact Re expectations, |p_k| <= 1
+    p_values: np.ndarray          # exact Re expectations, stored by _unit_snap
     shots: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        self.p_values = np.clip(np.asarray(self.p_values, dtype=float), -1.0, 1.0)
+        self.p_values = _unit_snap(np.array(self.p_values, dtype=float))
         if self.coeffs.shape != self.p_values.shape:
             raise ValueError("coefficient/expectation length mismatch")
         if self.shots is not None:
@@ -93,6 +93,13 @@ class EntryEstimator:
         if self.shots is None:
             raise ValueError("shots not assigned")
         return float(np.sum(self.coeffs ** 2 * (1.0 - self.p_values ** 2) / self.shots))
+
+
+def _unit_snap(values: np.ndarray) -> np.ndarray:
+    """Clip to [-1, 1] in place; 1 - |p| <= 2**-46 becomes exactly +/-1."""
+    np.clip(values, -1.0, 1.0, out=values)
+    np.copysign(1.0, values, out=values, where=np.abs(values) >= 1.0 - _UNIT_SNAP)
+    return values
 
 
 def _real(values: np.ndarray, what: str) -> np.ndarray:
@@ -177,8 +184,7 @@ class MatrixEstimators:
     """Stacked decompositions of one (basis, H) pair.
 
     The E = dim(dim+1)/2 upper-triangle entries are in np.triu_indices
-    order.  All values are clipped to [-1, 1], and those with 1 - |p| <=
-    2**-46 are snapped to exactly +/-1 in place (see the module docstring).
+    order.  All values are stored by _unit_snap, in place.
     """
 
     dim: int
@@ -188,8 +194,7 @@ class MatrixEstimators:
 
     def __post_init__(self):
         for values in (self.p_values, self.overlaps):
-            np.clip(values, -1.0, 1.0, out=values)
-            np.copysign(1.0, values, out=values, where=np.abs(values) >= 1.0 - _UNIT_SNAP)
+            _unit_snap(values)
 
     @property
     def entries(self) -> tuple[np.ndarray, np.ndarray]:

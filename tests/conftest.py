@@ -47,3 +47,23 @@ def h4_path(data_dir):
     if not path.exists():
         pytest.skip("H4 integral file not present")
     return path
+
+
+@pytest.fixture
+def rising_solver(monkeypatch):
+    """From its second call on, the eigensolver gcim.adapt calls reports
+    every eigenvalue 1e-5 hartree high: more than the toy's drop at
+    adapt-gcim's second iteration (7e-6), so the lowest eigenvalue rises."""
+    import dataclasses
+
+    from gcim import adapt
+
+    real, calls = adapt.solve_gevp, []
+
+    def rising(*args):
+        calls.append(1)
+        result = real(*args)
+        shift = 0.0 if len(calls) == 1 else 1e-5
+        return dataclasses.replace(result, eigenvalues=result.eigenvalues + shift)
+
+    monkeypatch.setattr(adapt, "solve_gevp", rising)

@@ -309,6 +309,23 @@ def test_loop_built_under_other_settings_is_rejected(toy):
                       AdaptConfig(algorithm=ADAPT_VQE, max_iterations=3), loop)
 
 
+def test_variants_read_from_one_loop_share_no_mutable_state(toy, toy_spectrum):
+    h, pool, ref = toy
+    loop = vqe_loop(h, pool, ref, AdaptConfig(algorithm=ADAPT_VQE))
+    vqe, vqe_gcim = (run_algorithm(h, pool, ref, AdaptConfig(algorithm=a), loop)
+                     for a in (ADAPT_VQE, ADAPT_VQE_GCIM))
+    lists = [loop.trace.records, vqe.records, vqe_gcim.records]
+    assert len({id(records) for records in lists}) == 3
+    records = [r for records in lists for r in records]
+    assert len({id(r) for r in records}) == len(records)
+    assert len({id(r.gradients) for r in records}) == len(records)
+    vqe.attach_exact(toy_spectrum)
+    assert vqe.exact_energy is not None
+    assert loop.trace.exact_energy is None and vqe_gcim.exact_energy is None
+    assert all(r.epsilon0 is not None for r in vqe_gcim.records)
+    assert all(r.epsilon0 is None for r in loop.trace.records)
+
+
 def test_gcim_mn_limits(toy):
     h, pool, ref = toy
     plain = run_algorithm(h, pool, ref, AdaptConfig(t_usr=3))
@@ -459,6 +476,26 @@ def test_gcim_family_rejects_an_empty_pool(toy, algorithm):
     h, _, ref = toy
     with pytest.raises(ValueError, match="empty candidate"):
         run_algorithm(h, [], ref, AdaptConfig(algorithm=algorithm))
+
+
+@pytest.mark.parametrize("algorithm", [ADAPT_GCIM, ADAPT_GCIM_MN])
+def test_gcim_family_aborts_when_the_lowest_eigenvalue_rises(toy, rising_solver,
+                                                              algorithm):
+    with pytest.raises(RuntimeError,
+                       match=r"^lowest eigenvalue rose by .* at iteration 2$"):
+        run_algorithm(*toy, AdaptConfig(algorithm=algorithm))
+
+
+@pytest.mark.parametrize("overrides, reason, iterations", [
+    ({"t_usr": 5}, "delta_eps", 3),
+    ({"gcim_tol": 1e-15, "t_usr": 100}, "pool_exhausted", 4),
+])
+def test_adapt_gcim_stop_reasons(toy, overrides, reason, iterations):
+    h, pool, ref = toy
+    trace = run_algorithm(h, pool, ref, AdaptConfig(**overrides))
+    assert (trace.converged, trace.reason, trace.iterations) == (True, reason, iterations)
+    if reason == "pool_exhausted":
+        assert sorted(r.selected_index for r in trace.records) == list(range(len(pool)))
 
 
 def test_trace_jsonable_fields(toy):

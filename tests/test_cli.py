@@ -269,6 +269,13 @@ def test_variational_bound_failure_names_the_variant(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == f"gcim: error: {want}\n"
 
 
+def test_rising_eigenvalue_is_an_error(tmp_path, capsys, rising_solver):
+    status = main(["run", "--config", str(CONFIG_DIR / "toy_gcim.json"),
+                   "--out", str(tmp_path)])
+    assert status == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("gcim: error: lowest eigenvalue rose by")
+
+
 def test_noise_sweep_csv(tmp_path):
     doc = _toy_doc(tmp_path, tau_grid=[1e10], noise_runs=10,
                    shots={"mode": "gaussian"})

@@ -27,6 +27,14 @@ def h4_noise(h4):
     return h, _noise_basis(trace)
 
 
+@pytest.fixture(scope="module")
+def toy_noise(toy):
+    # the subspace `gcim noise` sweeps on configs/toy_noise.json
+    h, pool, ref = toy
+    trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=5, s_threshold=1e-13))
+    return h, _noise_basis(trace)
+
+
 def _snapped(p):
     # the stored form of exact values: clipped to [-1, 1], and exactly +-1
     # where 1 - |p| <= 2**-46
@@ -127,6 +135,17 @@ def test_overlaps_are_the_projected_pair(h4):
     _, s_mat = build_matrices(basis, h)
     rows, cols = ests.entries
     assert np.array_equal(ests.overlaps, _snapped(s_mat[rows, cols].real))
+
+
+@pytest.mark.parametrize("setup", ["toy_noise", "h4_noise"])
+def test_entry_and_sweep_store_the_same_p_values(request, setup):
+    # one clip-and-snap rule: an entry's decomposition holds the p-values
+    # the sweep samples, bit for bit
+    h, basis = request.getfixturevalue(setup)
+    ests = MatrixEstimators.build(basis, h)
+    for e, (i, j) in enumerate(zip(*ests.entries)):
+        p = exact_decomposition(basis, h, i, j).p_values
+        assert p.tobytes() == ests.p_values[e].tobytes()
 
 
 def test_zero_coefficient_terms_absent(toy):
