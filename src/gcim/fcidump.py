@@ -3,9 +3,13 @@
 Accepts the common FCIDUMP dialect: an &FCI namelist naming NORB, NELEC and
 MS2 (ORBSYM/ISYM parsed and ignored), closed by "&END", "$END" or "/",
 followed by integral rows "value i j k l" with 1-based orbital indices.
-Two-electron values are chemist-notation (pq|rs) with the 8-fold real
-permutation symmetry; i=j=k=l=0 is the core energy and k=l=0 rows are
-one-body elements.  See docs/formats.md for the grammar.
+Every row names one class of chemist-notation (ij|kl) under the 8-fold real
+permutation symmetry, with 0 standing for "no orbital": (00|00) is the core
+energy, (ij|00) the one-body element h_ij and (ij|kl) with all four indices
+nonzero a two-electron integral.  The parser keys each row by its class's
+lexicographically first member, so one table and one duplicate rule serve
+all three kinds; the serializer writes each two-body class at that member.
+See docs/formats.md for the grammar.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import numpy as np
 from .fermion import FermionOperator, down, up
 
 DUPLICATE_TOL = 1e-10
+# what a row's class is, by the number of zero indices in its key
+_KINDS = {4: "core", 2: "one-body", 0: "two-body"}
 
 
 class FcidumpError(ValueError):
@@ -32,12 +38,8 @@ class FcidumpConsistencyError(FcidumpError):
     """Symmetry-equivalent entries specified with conflicting values."""
 
 
-def _one_body_key(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
-
-
-def _two_body_key(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
-    # canonical representative of the 8-fold class of (ij|kl)
+def _class_key(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
+    """Lexicographically first member of the 8-fold class of (ij|kl)."""
     a = min((i, j), (j, i))
     b = min((k, l), (l, k))
     return min(a + b, b + a)
@@ -67,12 +69,13 @@ class SpatialIntegrals:
             raise ValueError(f"{max(self.n_alpha, self.n_beta)} electrons of one spin "
                              f"exceed n_orb {self.n_orb}")
         n = self.n_orb
-        if self.one_body is None:
-            self.one_body = np.zeros((n, n))
-        if self.two_body is None:
-            self.two_body = np.zeros((n, n, n, n))
-        self.one_body = np.asarray(self.one_body, dtype=float)
-        self.two_body = np.asarray(self.two_body, dtype=float)
+        for name, shape in (("one_body", (n, n)), ("two_body", (n, n, n, n))):
+            value = getattr(self, name)
+            value = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+            setattr(self, name, value)
+        self._check_finite()
 
     @property
     def n_alpha(self) -> int:
@@ -82,7 +85,15 @@ class SpatialIntegrals:
     def n_beta(self) -> int:
         return (self.n_elec - self.ms2) // 2
 
+    def _check_finite(self) -> None:
+        for name in ("core_energy", "one_body", "two_body"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} holds a value that is not finite")
+
     def check_symmetry(self, tol: float = 1e-12) -> None:
+        """Raise ValueError unless every value is finite and h and (pq|rs)
+        have their permutation symmetries to within tol."""
+        self._check_finite()
         if np.max(np.abs(self.one_body - self.one_body.T)) > tol:
             raise ValueError("one-body integrals are not symmetric")
         v = self.two_body
@@ -130,16 +141,7 @@ def parse_fcidump(text: str) -> SpatialIntegrals:
     except ValueError as exc:
         raise FcidumpError(f"line {data_start}: {exc}") from exc
 
-    core = 0.0
-    core_seen = False
-    one: dict[tuple[int, int], float] = {}
-    two: dict[tuple[int, int, int, int], float] = {}
-
-    def conflict(kind: str, key, old: float, new: float, ln: int):
-        raise FcidumpConsistencyError(
-            f"line {ln}: conflicting duplicate {kind} entry {key}: {old!r} vs {new!r}"
-        )
-
+    table: dict[tuple[int, int, int, int], float] = {}
     for ln in range(data_start + 1, len(lines) + 1):
         line = lines[ln - 1].strip()
         if not line:
@@ -157,57 +159,47 @@ def parse_fcidump(text: str) -> SpatialIntegrals:
         for idx in (i, j, k, l):
             if not 0 <= idx <= n_orb:
                 raise FcidumpRangeError(f"line {ln}: index {idx} outside [0, {n_orb}]")
-        if i == j == k == l == 0:
-            if core_seen and abs(core - value) > DUPLICATE_TOL:
-                conflict("core", (0, 0, 0, 0), core, value, ln)
-            core, core_seen = value, True
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
+        if k == l == 0:
+            if (i == 0) != (j == 0):
                 raise FcidumpError(f"line {ln}: one-body row with a zero index")
-            key = _one_body_key(i - 1, j - 1)
-            if key in one and abs(one[key] - value) > DUPLICATE_TOL:
-                conflict("one-body", key, one[key], value, ln)
-            one[key] = value
         elif 0 in (i, j, k, l):
             raise FcidumpError(f"line {ln}: mixed zero/nonzero indices {parts[1:]}")
-        else:
-            key = _two_body_key(i - 1, j - 1, k - 1, l - 1)
-            if key in two and abs(two[key] - value) > DUPLICATE_TOL:
-                conflict("two-body", key, two[key], value, ln)
-            two[key] = value
+        key = _class_key(i, j, k, l)
+        if key in table and abs(table[key] - value) > DUPLICATE_TOL:
+            raise FcidumpConsistencyError(
+                f"line {ln}: conflicting duplicate {_KINDS[key.count(0)]} entry "
+                f"{i} {j} {k} {l}: {table[key]!r} vs {value!r}")
+        table[key] = value
 
-    ints.core_energy = core
-    for (i, j), v in one.items():
-        ints.one_body[i, j] = v
-        ints.one_body[j, i] = v
-    for (i, j, k, l), v in two.items():
-        for (a, b) in ((i, j), (j, i)):
-            for (c, d) in ((k, l), (l, k)):
-                ints.two_body[a, b, c, d] = v
-                ints.two_body[c, d, a, b] = v
+    # every class of (n_orb + 1)-index integrals, index 0 being FCIDUMP's zero
+    full = np.zeros((n_orb + 1,) * 4)
+    for (i, j, k, l), v in table.items():
+        for a in ((i, j), (j, i)):
+            for b in ((k, l), (l, k)):
+                full[a + b] = full[b + a] = v
+    ints.core_energy = float(full[0, 0, 0, 0])
+    ints.one_body = full[1:, 1:, 0, 0].copy()
+    ints.two_body = full[1:, 1:, 1:, 1:].copy()
     return ints
 
 
 def dumps_fcidump(ints: SpatialIntegrals, tol: float = 0.0) -> str:
-    """Serialize to canonical FCIDUMP text (one row per permutation class)."""
+    """Serialize to canonical FCIDUMP text (one row per permutation class).
+
+    A class is written at its first member, so integrals that break the
+    symmetry would lose their other members: check_symmetry runs first.
+    """
+    ints.check_symmetry()
     n = ints.n_orb
     out = [f"&FCI NORB={n},NELEC={ints.n_elec},MS2={ints.ms2},", "&END"]
-    seen = set()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    key = _two_body_key(i, j, k, l)
-                    v = ints.two_body[i, j, k, l]
-                    if key not in seen and abs(v) > tol:
-                        seen.add(key)
-                        a, b, c, d = key
-                        out.append(f"{v:.16e} {a + 1} {b + 1} {c + 1} {d + 1}")
-    for i in range(n):
-        for j in range(i, n):
-            v = ints.one_body[i, j]
-            if abs(v) > tol:
-                out.append(f"{v:.16e} {i + 1} {j + 1} 0 0")
+    two = ints.two_body
+    for i, j, k, l in np.argwhere(np.abs(two) > tol).tolist():
+        if (i, j, k, l) == _class_key(i, j, k, l):
+            out.append(f"{two[i, j, k, l]:.16e} {i + 1} {j + 1} {k + 1} {l + 1}")
+    one = ints.one_body
+    for i, j in np.argwhere(np.abs(one) > tol).tolist():
+        if i <= j:
+            out.append(f"{one[i, j]:.16e} {i + 1} {j + 1} 0 0")
     out.append(f"{ints.core_energy:.16e} 0 0 0 0")
     return "\n".join(out) + "\n"
 
@@ -222,22 +214,13 @@ def assemble_hamiltonian(ints: SpatialIntegrals) -> FermionOperator:
     """
     ints.check_symmetry()
     h = FermionOperator(constant=ints.core_energy)
-    n = ints.n_orb
     one, two = ints.one_body, ints.two_body
-    for p in range(n):
-        for q in range(n):
-            if abs(one[p, q]) < 1e-16:
-                continue
-            for spin in (up, down):
-                h.add_term(one[p, q], (spin(p),), (spin(q),))
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    v = two[p, q, r, s]
-                    if abs(v) < 1e-16:
-                        continue
-                    for s1 in (up, down):
-                        for s2 in (up, down):
-                            h.add_term(0.5 * v, (s1(p), s2(r)), (s2(s), s1(q)))
+    for p, q in np.argwhere(np.abs(one) >= 1e-16).tolist():
+        for spin in (up, down):
+            h.add_term(one[p, q], (spin(p),), (spin(q),))
+    for p, q, r, s in np.argwhere(np.abs(two) >= 1e-16).tolist():
+        v = two[p, q, r, s]
+        for s1 in (up, down):
+            for s2 in (up, down):
+                h.add_term(0.5 * v, (s1(p), s2(r)), (s2(s), s1(q)))
     return h.simplify()

@@ -34,7 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .pauli import COEFF_CUTOFF, I_POWERS, PauliString, PauliSum
+from .pauli import COEFF_CUTOFF, I_POWERS, PauliString, PauliSum, above_cutoff
 
 
 def up(g: int) -> int:
@@ -93,7 +93,7 @@ class FermionOperator:
         self.terms[key] = self.terms.get(key, 0.0) + c
 
     def simplify(self) -> "FermionOperator":
-        out = {k: c for k, c in self.terms.items() if abs(c) >= COEFF_CUTOFF}
+        out = {k: c for k, c in self.terms.items() if above_cutoff(c)}
         return FermionOperator(self.constant, out)
 
     def dagger(self) -> "FermionOperator":
@@ -278,17 +278,18 @@ def jordan_wigner_all(ops: Sequence[FermionOperator], n_qubits: int) -> list[Pau
     Uses a_p = (X_p + iY_p)/2 * prod_{k<p} Z_k with qubit index equal to
     the spin-orbital index; each output equals its input as an operator on
     the occupation-number basis (bit j of a statevector index = occupation
-    of spin orbital j).
+    of spin orbital j).  A NaN or infinite coefficient or constant raises
+    ValueError.
     """
     if n_qubits > MASK_BITS:
         raise ValueError(f"{n_qubits} qubits exceed the {MASK_BITS}-qubit mask limit "
                          "of the Jordan-Wigner map")
     terms = []
     for i, op in enumerate(ops):
-        if abs(op.constant) >= COEFF_CUTOFF:
+        if above_cutoff(op.constant):
             terms.append((i, op.constant, (), ()))
         for (cre, ann), coeff in op.terms.items():
-            if abs(coeff) < COEFF_CUTOFF:
+            if not above_cutoff(coeff):
                 continue
             for p in cre + ann:
                 if not 0 <= p < n_qubits:

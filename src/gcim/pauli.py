@@ -10,6 +10,7 @@ and the least-significant bit of a statevector index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -23,6 +24,15 @@ _XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _NIBBLE_LETTERS = tuple(
     "".join(_XZ_TO_LETTER[(x >> j) & 1, (z >> j) & 1] for j in range(4))
     for z in range(16) for x in range(16))
+
+
+def above_cutoff(c: complex) -> bool:
+    """Whether |c| >= COEFF_CUTOFF; a NaN or infinite c raises ValueError,
+    where the cutoff alone would drop a NaN without a word."""
+    a = abs(c)
+    if a < math.inf:
+        return a >= COEFF_CUTOFF
+    raise ValueError(f"coefficient {c} is not finite")
 
 
 class PauliFormatError(ValueError):
@@ -100,7 +110,8 @@ class PauliSum:
     """Complex-weighted sum of PauliStrings on a common register.
 
     The algebra merges duplicate strings in the dict it builds; construction
-    drops terms with |coefficient| < COEFF_CUTOFF.
+    drops terms with |coefficient| < COEFF_CUTOFF and refuses a NaN or
+    infinite one.
     Instances are treated as immutable once built; all algebra returns
     new objects.  That is what lets statevector cache its compiled forms,
     one per state space, in the ``_compiled`` slot on first use.
@@ -121,7 +132,7 @@ class PauliSum:
             if p.n != n_qubits:
                 raise ValueError("term register size mismatch")
             c = 0j + complex(c)
-            if abs(c) >= COEFF_CUTOFF:
+            if above_cutoff(c):
                 self.terms[p] = c
 
     @classmethod

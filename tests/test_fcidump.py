@@ -199,3 +199,80 @@ def test_ms2_bounded_by_electron_count():
 def test_spin_counts_bounded_by_orbital_count():
     # three spin-up electrons do not fit in two spatial orbitals
     _header_error(2, 3, 3, "exceed n_orb")
+
+
+_HEAD3 = "&FCI NORB=3,NELEC=2,MS2=0,\n&END\n"
+
+
+@pytest.mark.parametrize("rows, line, kind", [
+    ("1.0 0 0 0 0\n1.5 0 0 0 0\n", 4, "core"),
+    ("0.5 1 2 0 0\n0.6 2 1 0 0\n", 4, "one-body"),
+    ("0.25 1 2 3 1\n0.5 1 2 0 0\n0.35 3 1 1 2\n", 5, "two-body"),
+])
+def test_conflicting_duplicates_of_every_class_kind(rows, line, kind):
+    # every row is one (ij|kl) class, zeros included, under one duplicate rule
+    with pytest.raises(FcidumpConsistencyError,
+                       match=f"^line {line}: conflicting duplicate {kind} entry "):
+        parse_fcidump(_HEAD3 + rows)
+
+
+def test_agreeing_duplicates_in_any_member_order_give_the_same_arrays():
+    rows = ["0.25 1 2 3 1", "0.5 1 3 0 0", "0.75 0 0 0 0", "0.125 2 2 3 3"]
+    members = ["0.25 2 1 1 3", "0.25 3 1 1 2", "0.25 1 3 2 1",
+               "0.5 3 1 0 0", "0.75 0 0 0 0", "0.125 3 3 2 2"]
+    base = parse_fcidump(_HEAD3 + "\n".join(rows) + "\n")
+    for text in (rows + members, members + rows, members[::-1] + rows[::-1]):
+        ints = parse_fcidump(_HEAD3 + "\n".join(text) + "\n")
+        assert ints.core_energy == base.core_energy == 0.75
+        assert np.array_equal(ints.one_body, base.one_body)
+        assert np.array_equal(ints.two_body, base.two_body)
+
+
+def test_data_files_round_trip_bit_for_bit(data_dir):
+    paths = sorted(data_dir.glob("*.fcidump"))
+    assert paths
+    for path in paths:
+        ints = parse_fcidump(path.read_text())
+        text = dumps_fcidump(ints)
+        again = parse_fcidump(text)
+        assert again.core_energy == ints.core_energy, path.name
+        assert np.array_equal(again.one_body, ints.one_body), path.name
+        assert np.array_equal(again.two_body, ints.two_body), path.name
+        assert dumps_fcidump(again) == text, path.name
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"one_body": np.zeros((3, 3))}, "one_body"),
+    ({"two_body": np.zeros((2, 2, 2))}, "two_body"),
+    ({"one_body": [[0.0, np.nan], [np.nan, 0.0]]}, "one_body"),
+    ({"two_body": np.full((2, 2, 2, 2), -np.inf)}, "two_body"),
+    ({"core_energy": np.inf}, "core_energy"),
+], ids=["one_body shape", "two_body shape", "nan one_body", "inf two_body", "inf core"])
+def test_integrals_refuse_what_the_assembly_cannot_use(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        SpatialIntegrals(n_orb=2, n_elec=2, ms2=0, **kwargs)
+
+
+def test_toy_with_nan_hopping_is_refused():
+    from gcim import toy_system
+
+    # a NaN hopping would otherwise fall below the coefficient cutoff and vanish
+    with pytest.raises(ValueError, match="one_body"):
+        toy_system(float("nan"), 2.0)
+
+
+def test_symmetry_check_refuses_a_value_made_non_finite_after_construction():
+    ints = SpatialIntegrals(n_orb=2, n_elec=2, ms2=0)
+    ints.two_body[0, 1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="two_body"):
+        ints.check_symmetry()
+    with pytest.raises(ValueError, match="two_body"):
+        assemble_hamiltonian(ints)
+
+
+def test_serializer_refuses_integrals_that_break_the_symmetry():
+    # one row per class keeps only the class's first member
+    ints = SpatialIntegrals(n_orb=2, n_elec=2, ms2=0)
+    ints.two_body[0, 1, 0, 0] = 0.5
+    with pytest.raises(ValueError, match="8-fold"):
+        dumps_fcidump(ints)

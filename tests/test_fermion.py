@@ -220,3 +220,15 @@ def test_jw_hamiltonian_and_pool_match_product_reference(name, h4_path):
     for op in ops:
         assert exact_terms(jordan_wigner(op, n)) == \
             exact_terms(jordan_wigner_reference(op, n))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_coefficient_is_refused_not_dropped(bad):
+    op = FermionOperator(terms={((1,), (0,)): bad, ((0,), (0,)): 1.0})
+    with pytest.raises(ValueError, match="not finite"):
+        op.simplify()
+    # the term skip ahead of the mask kernel, whose cutoff would drop a NaN
+    with pytest.raises(ValueError, match="not finite"):
+        jordan_wigner(op, 2)
+    with pytest.raises(ValueError, match="not finite"):
+        jordan_wigner(FermionOperator(constant=bad), 2)

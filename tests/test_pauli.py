@@ -206,3 +206,11 @@ def test_sum_algebra_against_dense():
 def test_parse_pauli_json_rejects_wrong_types(record):
     with pytest.raises(PauliFormatError, match="term record 1"):
         parse_pauli_json(json.dumps([{"pauli": "ZZ", "coeff_re": 1.0}, record]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -np.inf),
+                                 complex(np.nan, 0.0)])
+def test_non_finite_coefficient_is_refused_not_dropped(bad):
+    terms = {PauliString.from_label("Z"): bad, PauliString.from_label("X"): 1.0}
+    with pytest.raises(ValueError, match="not finite"):
+        PauliSum(1, terms)

@@ -500,3 +500,62 @@ def test_pauli_expectations_need_one_space(toy):
     assert coeffs @ values[0, 0] == pytest.approx(apply_paulisum(h, ref).inner(ref), abs=1e-12)
     with pytest.raises(ValueError, match="spaces"):
         pauli_expectations([ref], h, [full])
+
+
+def _hubbard_chain_sector(n_sites: int, u: float):
+    """Open Hubbard chain (t = 1) with n_sites // 2 electrons of each spin:
+    the qubit Hamiltonian, the reference determinant and the hopping matrix."""
+    from gcim.fcidump import SpatialIntegrals, assemble_hamiltonian
+
+    one = np.zeros((n_sites, n_sites))
+    for i in range(n_sites - 1):
+        one[i, i + 1] = one[i + 1, i] = -1.0
+    two = np.zeros((n_sites,) * 4)
+    for i in range(n_sites):
+        two[i, i, i, i] = u
+    m = n_sites // 2
+    ints = SpatialIntegrals(n_orb=n_sites, n_elec=2 * m, ms2=0, one_body=one, two_body=two)
+    h = jordan_wigner(assemble_hamiltonian(ints), 2 * n_sites)
+    return h, hf_state(2 * n_sites, m, m), one
+
+
+@pytest.fixture
+def krylov_calls(monkeypatch):
+    from gcim import statevector
+
+    calls = []
+    eigsh = statevector.spla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(statevector.spla, "eigsh", counted)
+    return calls
+
+
+def test_krylov_oracle_on_a_sector_finds_the_free_fermion_levels(krylov_calls):
+    from itertools import combinations
+
+    from gcim.statevector import _DENSE_EIG_MAX_DIM
+
+    h, ref, one = _hubbard_chain_sector(7, 0.0)
+    assert ref.space.dim == 35 ** 2 > _DENSE_EIG_MAX_DIM
+    spec = exact_spectrum(h, k=4, reference=ref)
+    assert krylov_calls and spec.sector == (3, 3)
+    # U = 0: each spin fills 3 of the 7 one-body levels independently
+    eps = np.linalg.eigvalsh(one)
+    per_spin = [sum(eps[list(c)]) for c in combinations(range(7), 3)]
+    levels = np.sort(np.add.outer(per_spin, per_spin).ravel())[:4]
+    assert levels[1] == pytest.approx(levels[2], abs=1e-12)  # a degenerate pair
+    assert np.max(np.abs(spec.eigenvalues - levels)) < 1e-10
+
+
+def test_krylov_oracle_on_a_sector_matches_the_dense_block(krylov_calls):
+    from gcim.statevector import _compiled
+
+    h, ref, _ = _hubbard_chain_sector(7, 4.0)
+    spec = exact_spectrum(h, k=4, reference=ref)
+    assert krylov_calls
+    block = _compiled(h, ref.space).matrix.toarray()
+    assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(block)[:4])) < 1e-10
