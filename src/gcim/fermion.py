@@ -12,7 +12,10 @@ that layout; every other module derives its spin-orbital indices from them.
 
 jordan_wigner_all maps a list of operators in one numpy pass over uint64
 (x, z) masks, so registers hold at most 64 qubits; jordan_wigner is its
-one-operator case.  Terms go in runs of about _RUN_PRODUCTS product strings.
+one-operator case.  One vectorized screen over every constant and term drops
+those below COEFF_CUTOFF and raises at the first that is NaN or infinite
+(ValueError) or keeps an index off the register (IndexError), as a term by
+term screen would.  Terms go in runs of about _RUN_PRODUCTS product strings.
 Within a run, the terms with k ladder operators expand together, one ladder
 step at a time: every (term, string) row times X_p Z_{<p} and Y_p Z_{<p},
 with pauli.mask_mul's phase rule.  In one step a string gets at most two
@@ -24,13 +27,14 @@ the cutoff is popped and a later contribution restarts it from 0j, and the
 keys come out in the order a dict would hold them.  That is the arithmetic
 of multiplying two-term PauliSums left to right and adding them up, so each
 image matches that product form term for term, in insertion order and bit
-for bit.
+for bit.  Each image is built once (PauliSum.from_checked) from the folded
+sums normalized as 0j + c, after one check refusing a sum that overflowed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +53,11 @@ def down(g: int) -> int:
 
 def _sort_with_sign(indices: tuple[int, ...], descending: bool) -> tuple[int, tuple[int, ...]] | None:
     """Parity-tracked sort; None if an index repeats (operator is zero)."""
+    if len(indices) == 2:  # every pool and two-body term: one comparison
+        a, b = indices
+        if a == b:
+            return None
+        return (1, indices) if (a > b) == descending else (-1, (b, a))
     lst = list(indices)
     sign = 1
     for i in range(1, len(lst)):
@@ -93,6 +102,7 @@ class FermionOperator:
         self.terms[key] = self.terms.get(key, 0.0) + c
 
     def simplify(self) -> "FermionOperator":
+        above_cutoff(self.constant)  # raises on a NaN or infinite constant
         out = {k: c for k, c in self.terms.items() if above_cutoff(c)}
         return FermionOperator(self.constant, out)
 
@@ -122,16 +132,17 @@ class FermionOperator:
         return self - self.dagger()
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        diff = (self - self.dagger()).simplify()
-        if abs(diff.constant) > tol:
-            return False
-        return all(abs(c) <= tol for c in diff.terms.values())
+        return self._sum_within(self.dagger() * -1.0, tol)
 
     def is_anti_hermitian(self, tol: float = 1e-12) -> bool:
-        diff = (self + self.dagger()).simplify()
-        if abs(diff.constant) > tol:
-            return False
-        return all(abs(c) <= tol for c in diff.terms.values())
+        return self._sum_within(self.dagger(), tol)
+
+    def _sum_within(self, other: "FermionOperator", tol: float) -> bool:
+        """Whether every coefficient of self + other is at most tol in modulus."""
+        total = dict(self.terms)
+        for k, c in other.terms.items():
+            total[k] = total.get(k, 0.0) + c
+        return all(abs(c) <= tol for c in (self.constant + other.constant, *total.values()))
 
     def sorted_terms(self) -> list[tuple[tuple[tuple[int, ...], tuple[int, ...]], complex]]:
         return sorted(self.terms.items())
@@ -165,8 +176,8 @@ def _pairs(term: np.ndarray, key: np.ndarray, candidate: np.ndarray):
     rows = np.flatnonzero(candidate)
     if len(rows) < 2:
         return np.arange(len(term)), np.full(len(term), -1)
-    # stable: the earlier row of a pair comes first
-    rows = rows[np.lexsort((key[rows], term[rows]))]
+    # stable, on rows in term order: a pair ends up adjacent, earlier row first
+    rows = rows[np.argsort(key[rows], kind="stable")]
     same = (term[rows[1:]] == term[rows[:-1]]) & (key[rows[1:]] == key[rows[:-1]])
     partner = np.full(len(term), -1)
     partner[rows[:-1][same]] = rows[1:][same]
@@ -226,20 +237,16 @@ def _expand(coeff: np.ndarray, ladders: np.ndarray, n_cre: np.ndarray):
     return term, x[term], z, c
 
 
-def _products(terms: list) -> tuple[np.ndarray, ...]:
-    """(op, x, z, value) rows of every term's ladder product, in term order."""
-    counts = np.array([len(cre) + len(ann) for _, _, cre, ann in terms])
+def _products(op, coeff, k, n_cre, flat, offset) -> tuple[np.ndarray, ...]:
+    """(op, x, z, value) rows of every term's ladder product, in term order;
+    term t's k[t] ladder indices, creations first, start at flat[offset[t]]."""
     parts = []
-    for k in np.unique(counts):
-        idx = np.flatnonzero(counts == k)
-        coeff = np.array([terms[i][1] for i in idx], dtype=complex)
-        ladders = np.array([terms[i][2] + terms[i][3] for i in idx], dtype=np.int64)
-        n_cre = np.array([len(terms[i][2]) for i in idx])
-        t, x, z, c = _expand(coeff, ladders, n_cre)
+    for n in np.unique(k):
+        idx = np.flatnonzero(k == n)
+        t, x, z, c = _expand(coeff[idx], flat[offset[idx, None] + np.arange(n)], n_cre[idx])
         parts.append((idx[t], x, z, c))
     term, x, z, c = (np.concatenate(a) for a in zip(*parts))
     order = np.argsort(term, kind="stable")
-    op = np.array([o for o, _, _, _ in terms])
     return op[term[order]], x[order], z[order], c[order]
 
 
@@ -250,7 +257,8 @@ def _fold(op, x, z, c, seq):
     0j.  Returns the keys left with their sums and the seq at which each
     was last inserted, which is its dict position.
     """
-    order = np.lexsort((z, x, op))
+    # stable, on rows in op order: a key's rows end up adjacent, in seq order
+    order = np.lexsort((z, x))
     op, x, z, c, seq = op[order], x[order], z[order], c[order], seq[order]
     new = np.ones(len(op), bool)
     new[1:] = (op[1:] != op[:-1]) | (x[1:] != x[:-1]) | (z[1:] != z[:-1])
@@ -278,55 +286,70 @@ def jordan_wigner_all(ops: Sequence[FermionOperator], n_qubits: int) -> list[Pau
     Uses a_p = (X_p + iY_p)/2 * prod_{k<p} Z_k with qubit index equal to
     the spin-orbital index; each output equals its input as an operator on
     the occupation-number basis (bit j of a statevector index = occupation
-    of spin orbital j).  A NaN or infinite coefficient or constant raises
-    ValueError.
+    of spin orbital j).  A NaN or infinite coefficient or constant, or a
+    sum that overflows, raises ValueError.
     """
     if n_qubits > MASK_BITS:
         raise ValueError(f"{n_qubits} qubits exceed the {MASK_BITS}-qubit mask limit "
                          "of the Jordan-Wigner map")
-    terms = []
+    # one row per operator constant and per term
+    op_of, values, ladders, n_cre = [], [], [], []
     for i, op in enumerate(ops):
-        if above_cutoff(op.constant):
-            terms.append((i, op.constant, (), ()))
-        for (cre, ann), coeff in op.terms.items():
-            if not above_cutoff(coeff):
-                continue
-            for p in cre + ann:
-                if not 0 <= p < n_qubits:
-                    raise IndexError(f"spin orbital {p} exceeds register of {n_qubits} qubits")
-            terms.append((i, coeff, cre, ann))
+        op_of += [i] * (1 + len(op.terms))
+        values += [op.constant, *op.terms.values()]
+        ladders += [(), *[cre + ann for cre, ann in op.terms]]
+        n_cre += [0, *[len(cre) for cre, _ in op.terms]]
+    coeff = np.array(values, complex)
+    k = np.fromiter(map(len, ladders), np.int64, len(values))
+    flat = np.fromiter(chain.from_iterable(ladders), np.int64, int(k.sum()))
+    offset = np.cumsum(k) - k
+    # the first row whose value is not finite, or that is kept with an index
+    # off the register, raises, as a row-by-row screen would
+    magnitude = _magnitude(coeff)
+    kept = magnitude >= COEFF_CUTOFF
+    off_register = np.bincount(np.repeat(np.arange(len(values)), k),
+                               (flat < 0) | (flat >= n_qubits), len(values)) > 0
+    bad = np.flatnonzero(~(magnitude < np.inf) | kept & off_register)
+    if len(bad):
+        above_cutoff(values[bad[0]])  # raises on a NaN or infinite value
+        p = next(p for p in ladders[bad[0]] if not 0 <= p < n_qubits)
+        raise IndexError(f"spin orbital {p} exceeds register of {n_qubits} qubits")
+    op_of, n_cre = np.array(op_of, np.int64)[kept], np.array(n_cre, np.int64)[kept]
+    coeff, k, offset = coeff[kept], k[kept], offset[kept]
     # runs of whole terms, about _RUN_PRODUCTS strings each; an operator
     # cut by a run boundary carries its partial sums into the next run
-    out = [PauliSum(n_qubits) for _ in ops]
-    carry = None
-    seq = 0
-    start = 0
-    while start < len(terms):
-        stop, size = start, 0
-        while stop < len(terms) and size < _RUN_PRODUCTS:
-            size += 1 << (len(terms[stop][2]) + len(terms[stop][3]))
-            stop += 1
-        op, x, z, c = _products(terms[start:stop])
-        items = [op, x, z, c, np.arange(seq, seq + len(op))]
+    sizes = np.concatenate(([0.0], np.cumsum(2.0 ** k)))
+    # (op, x, z, value, seq) columns; the carry starts empty
+    carry = (op_of[:0], np.zeros(0, np.uint64), np.zeros(0, np.uint64), coeff[:0], op_of[:0])
+    parts = [carry]
+    seq = start = 0
+    while start < len(k):
+        stop = min(int(np.searchsorted(sizes, sizes[start] + _RUN_PRODUCTS)), len(k))
+        run = slice(start, stop)
+        op, x, z, c = _products(op_of[run], coeff[run], k[run], n_cre[run], flat, offset[run])
+        items = (op, x, z, c, np.arange(seq, seq + len(op)))
         seq += len(op)
-        if carry is not None:
-            items = [np.concatenate(pair) for pair in zip(carry, items)]
-        folded = _fold(*items)
-        if stop < len(terms):
-            cut = folded[0] == terms[stop][0]
-            carry = tuple(a[cut] for a in folded)
-            folded = tuple(a[~cut] for a in folded)
-        op, x, z, c, inserted = folded
-        order = np.argsort(inserted)  # operator-major: seq grows with op
-        op, x, z, c = op[order], x[order], z[order], c[order]
-        ids, starts = np.unique(op, return_index=True)
-        bounds = [*starts.tolist(), len(op)]
-        for i, lo, hi in zip(ids.tolist(), bounds, bounds[1:]):
-            out[i] = PauliSum(n_qubits, dict(zip(
-                map(PauliString, x[lo:hi].tolist(), z[lo:hi].tolist(), repeat(n_qubits)),
-                c[lo:hi].tolist())))
+        folded = _fold(*(np.concatenate(pair) for pair in zip(carry, items)))
+        cut = folded[0] == (op_of[stop] if stop < len(k) else -1)
+        carry = tuple(a[cut] for a in folded)
+        parts.append(tuple(a[~cut] for a in folded))
         start = stop
-    return out
+    op, x, z, c, inserted = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(inserted)  # operator-major: seq grows with op
+    op, x, z, c = op[order], x[order], z[order], 0j + c[order]
+    # the fold cut every sum at COEFF_CUTOFF; one that overflowed is refused
+    if not np.isfinite(c).all():
+        above_cutoff(complex(c[~np.isfinite(c)][0]))
+    # one PauliString per distinct string, shared by the images that hold it
+    strings: dict[tuple[int, int], PauliString] = {}
+    keys = [strings.get(xz) or strings.setdefault(xz, PauliString(*xz, n_qubits))
+            for xz in zip(x.tolist(), z.tolist())]
+    c = c.tolist()
+    images: list[PauliSum | None] = [None] * len(ops)
+    bounds = [*np.flatnonzero(np.diff(op, prepend=-1)).tolist(), len(op)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        images[op[lo]] = PauliSum.from_checked(n_qubits, dict(zip(keys[lo:hi], c[lo:hi])))
+    return [PauliSum(n_qubits) if image is None else image for image in images]
 
 
 def jordan_wigner(op: FermionOperator, n_qubits: int) -> PauliSum:

@@ -136,6 +136,14 @@ class PauliSum:
                 self.terms[p] = c
 
     @classmethod
+    def from_checked(cls, n_qubits: int, terms: dict[PauliString, complex]) -> "PauliSum":
+        """A sum holding terms as given, which the caller has checked: keys on
+        this register, values finite complex 0j + c at or above the cutoff."""
+        out = cls(n_qubits)
+        out.terms = terms
+        return out
+
+    @classmethod
     def from_label_dict(cls, d: dict[str, complex]) -> "PauliSum":
         if not d:
             return cls(0)

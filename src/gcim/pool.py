@@ -12,18 +12,22 @@ Enumeration: singles over p > q; doubles over p <= q, r <= s,
 (p, q) <= (r, s), with tuples whose operator vanishes (or duplicates an
 earlier one) skipped.  The resulting ordering is deterministic: all singles
 first, then doubles lexicographically with singlet before triplet.
+
+Each candidate's terms are built in one pass over plain dicts, with the
+arithmetic (and so the bits) of FermionOperator's add_term, simplify, scaling
+and minus_hc: the raw terms canonicalized by fermion.normal_term and summed,
+the forward part scaled, then the skew dict: forward terms, adjoints with -c.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
 
-import numpy as np
-
-from .fermion import FermionOperator, down, jordan_wigner_all, up
-from .pauli import PauliSum
+from .fermion import FermionOperator, down, jordan_wigner_all, normal_term, up
+from .pauli import PauliSum, above_cutoff
 from .statevector import bind_generators
 
 SINGLE = "single"
@@ -58,46 +62,47 @@ def _forward_terms(skew: FermionOperator) -> list[tuple[tuple[int, ...], tuple[i
     return out
 
 
-def _single_raw(p: int, q: int) -> FermionOperator:
-    op = FermionOperator()
-    op.add_term(1.0, (up(p),), (up(q),))
-    op.add_term(1.0, (down(p),), (down(q),))
-    return op
+def _single_raw(p: int, q: int) -> list:
+    return [(1.0, (up(p),), (up(q),)), (1.0, (down(p),), (down(q),))]
 
 
-def _double_singlet_raw(p: int, q: int, r: int, s: int) -> FermionOperator:
-    op = FermionOperator()
-    op.add_term(+1.0, (up(p), down(q)), (up(r), down(s)))
-    op.add_term(-1.0, (up(p), down(q)), (down(r), up(s)))
-    op.add_term(-1.0, (down(p), up(q)), (up(r), down(s)))
-    op.add_term(+1.0, (down(p), up(q)), (down(r), up(s)))
-    return op
+def _double_singlet_raw(p: int, q: int, r: int, s: int) -> list:
+    return [(+1.0, (up(p), down(q)), (up(r), down(s))),
+            (-1.0, (up(p), down(q)), (down(r), up(s))),
+            (-1.0, (down(p), up(q)), (up(r), down(s))),
+            (+1.0, (down(p), up(q)), (down(r), up(s)))]
 
 
-def _double_triplet_raw(p: int, q: int, r: int, s: int) -> FermionOperator:
-    op = FermionOperator()
-    op.add_term(+2.0, (up(p), up(q)), (up(r), up(s)))
-    op.add_term(+1.0, (up(p), down(q)), (up(r), down(s)))
-    op.add_term(+1.0, (up(p), down(q)), (down(r), up(s)))
-    op.add_term(+1.0, (down(p), up(q)), (up(r), down(s)))
-    op.add_term(+1.0, (down(p), up(q)), (down(r), up(s)))
-    op.add_term(+2.0, (down(p), down(q)), (down(r), down(s)))
-    return op
+def _double_triplet_raw(p: int, q: int, r: int, s: int) -> list:
+    return [(+2.0, (up(p), up(q)), (up(r), up(s))),
+            (+1.0, (up(p), down(q)), (up(r), down(s))),
+            (+1.0, (up(p), down(q)), (down(r), up(s))),
+            (+1.0, (down(p), up(q)), (up(r), down(s))),
+            (+1.0, (down(p), up(q)), (down(r), up(s))),
+            (+2.0, (down(p), down(q)), (down(r), down(s)))]
 
 
-def _normalize_forward(raw: FermionOperator) -> FermionOperator | None:
-    """Scale the simplified forward part to unit 2-norm, sign-fixed."""
-    raw = raw.simplify()
-    if not raw.terms:
+def _skew_terms(raw: list) -> tuple[tuple, dict] | None:
+    """Fingerprint and skew terms of one candidate; None if the skew vanishes.
+    The summed raw coefficients are small integers, so their squares add up
+    exactly in any order; the forward ones are real, so an adjoint's is -c."""
+    fwd: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
+    for coeff, cre, ann in raw:
+        term = normal_term(coeff, cre, ann)
+        if term is not None:
+            fwd[term[1:]] = fwd.get(term[1:], 0.0) + term[0]
+    fwd = {key: c for key, c in fwd.items() if above_cutoff(c)}
+    if not fwd:
         return None
-    coeffs = np.array([c.real for _, c in raw.sorted_terms()])
-    first = raw.sorted_terms()[0][1].real
-    scale = np.sign(first) / np.linalg.norm(coeffs)
-    return raw * scale
-
-
-def _fingerprint(fwd: FermionOperator) -> tuple:
-    return tuple((cre, ann, round(c.real, 12)) for (cre, ann), c in fwd.sorted_terms())
+    scale = math.copysign(1.0, fwd[min(fwd)].real) / math.sqrt(
+        sum([c.real * c.real for c in fwd.values()]))
+    fwd = {key: c * scale for key, c in fwd.items()}
+    skew = dict(fwd)
+    for (cre, ann), c in fwd.items():
+        skew[ann[::-1], cre[::-1]] = skew.get((ann[::-1], cre[::-1]), 0.0) + c * -1.0
+    skew = {key: c for key, c in skew.items() if above_cutoff(c)}
+    fingerprint = tuple([(cre, ann, round(c.real, 12)) for (cre, ann), c in sorted(fwd.items())])
+    return (fingerprint, skew) if skew else None
 
 
 def build_pool(n_spatial: int) -> list[PoolOperator]:
@@ -115,18 +120,11 @@ def build_pool(n_spatial: int) -> list[PoolOperator]:
     elements: list[tuple[str, tuple[int, ...], FermionOperator, str]] = []
     seen: set[tuple] = set()
 
-    def emit(kind: str, spatial: tuple[int, ...], raw: FermionOperator, label: str):
-        fwd = _normalize_forward(raw)
-        if fwd is None:
-            return
-        skew = fwd.minus_hc().simplify()
-        if not skew.terms:
-            return
-        fp = _fingerprint(fwd)
-        if fp in seen:
-            return
-        seen.add(fp)
-        elements.append((kind, spatial, skew, label))
+    def emit(kind: str, spatial: tuple[int, ...], raw: list, label: str):
+        terms = _skew_terms(raw)
+        if terms is not None and terms[0] not in seen:
+            seen.add(terms[0])
+            elements.append((kind, spatial, FermionOperator(0.0, terms[1]), label))
 
     for p in range(1, n_spatial):
         for q in range(p):

@@ -190,11 +190,17 @@ def test_jw_batch_matches_product_reference_exactly(raw_ops):
         assert [exact_terms(image) for image in images] == want
 
 
-@pytest.mark.parametrize("n_spatial", [2, 3, 4, 5, 6])
+def _rechecked(image: PauliSum) -> PauliSum:
+    """The image through PauliSum's own merge, cut and finiteness check."""
+    return PauliSum(image.n_qubits, dict(image.terms))
+
+
+@pytest.mark.parametrize("n_spatial", [2, 3, 4, 5, 6, 7])
 def test_pool_images_match_product_reference(n_spatial):
     for op in build_pool(n_spatial):
         assert exact_terms(op.qubit) == \
-            exact_terms(jordan_wigner_reference(op.fermionic, 2 * n_spatial))
+            exact_terms(jordan_wigner_reference(op.fermionic, 2 * n_spatial)) == \
+            exact_terms(_rechecked(op.qubit))
 
 
 def _hubbard_chain(n_sites: int, t: float, u: float) -> SpatialIntegrals:
@@ -222,6 +228,17 @@ def test_jw_hamiltonian_and_pool_match_product_reference(name, h4_path):
             exact_terms(jordan_wigner_reference(op, n))
 
 
+@pytest.mark.parametrize("name", ["toy", "h4", "hubbard10"])
+def test_hamiltonian_images_are_what_the_pauli_sum_check_builds(name, h4_path):
+    # images skip PauliSum's own check, so they must already hold what it
+    # would: Python complex values, signed zeros normalized, in order
+    ints = {"toy": lambda: toy_integrals(1.0, 2.0),
+            "h4": lambda: parse_fcidump(h4_path.read_text()),
+            "hubbard10": lambda: _hubbard_chain(5, 1.0, 4.0)}[name]()
+    image = jordan_wigner(assemble_hamiltonian(ints), 2 * ints.n_orb)
+    assert exact_terms(image) == exact_terms(_rechecked(image))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_coefficient_is_refused_not_dropped(bad):
     op = FermionOperator(terms={((1,), (0,)): bad, ((0,), (0,)): 1.0})
@@ -232,3 +249,25 @@ def test_non_finite_coefficient_is_refused_not_dropped(bad):
         jordan_wigner(op, 2)
     with pytest.raises(ValueError, match="not finite"):
         jordan_wigner(FermionOperator(constant=bad), 2)
+
+
+def test_jw_refuses_a_folded_sum_that_overflows():
+    # each a+_p a_p puts 0.75e308 on the identity string: the third one
+    # overflows the sum, which is refused, not kept as inf
+    op = FermionOperator(terms={((p,), (p,)): 1.5e308 for p in range(3)})
+    # numpy's overflow warning (an error under -W error) is not the refusal
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        jordan_wigner(op, 3)
+
+
+def test_simplify_refuses_a_non_finite_constant():
+    with pytest.raises(ValueError, match="not finite"):
+        FermionOperator(constant=float("nan")).simplify()
+
+
+@pytest.mark.parametrize("predicate", ["is_hermitian", "is_anti_hermitian"])
+@pytest.mark.parametrize("op", [FermionOperator(constant=float("nan")),
+                                FermionOperator(terms={((1,), (1,)): float("nan")})],
+                         ids=["nan-constant", "nan-term"])
+def test_hermiticity_predicates_are_false_on_a_non_finite_difference(op, predicate):
+    assert getattr(op, predicate)() is False
