@@ -7,8 +7,9 @@ convention the Hermitian conjugate of a canonical term is again canonical
 with (cre, ann) -> (reversed ann, reversed cre) and no extra sign.
 
 Spin orbitals are indexed interleaved: spatial orbital g with spin up maps
-to qubit 2g, spin down to 2g+1.  up() and down() are the one definition of
-that layout; every other module derives its spin-orbital indices from them.
+to qubit 2g, spin down to 2g+1.  up(), down() and their inverse spin() are
+the one definition of that layout; every other module derives its
+spin-orbital indices from them.
 
 jordan_wigner_all maps a list of operators in one numpy pass over uint64
 (x, z) masks, so registers hold at most 64 qubits; jordan_wigner is its
@@ -49,6 +50,11 @@ def up(g: int) -> int:
 def down(g: int) -> int:
     """Spin-down spin-orbital index of spatial orbital g."""
     return 2 * g + 1
+
+
+def spin(p: int) -> int:
+    """Spin of spin orbital p: 0 if p is up(g), 1 if p is down(g)."""
+    return p % 2
 
 
 def _sort_with_sign(indices: tuple[int, ...], descending: bool) -> tuple[int, tuple[int, ...]] | None:

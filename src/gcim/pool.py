@@ -8,26 +8,31 @@ coefficient vector of its simplified forward (excitation) part has 2-norm 1;
 the overall sign is fixed by making the lexicographically first forward term
 positive.
 
-Enumeration: singles over p > q; doubles over p <= q, r <= s,
-(p, q) <= (r, s), with tuples whose operator vanishes (or duplicates an
-earlier one) skipped.  The resulting ordering is deterministic: all singles
-first, then doubles lexicographically with singlet before triplet.
+Enumeration: singles over p > q; singlet doubles over p <= q, r <= s,
+(p, q) < (r, s); triplet doubles over the same tuples with p < q and r < s.
+That is every generator, once: swapping p and q, r and s, or the two pairs
+gives the same generator up to sign; (p, q) = (r, s) gives a Hermitian
+excitation whose skew part is zero; a doubly occupied spatial pair has no
+triplet; and distinct tuples excite between distinct spatial pairs, while a
+triplet has same-spin terms that its singlet lacks, so no two generators
+are equal.  The order is deterministic: all singles first, then doubles
+lexicographically with singlet before triplet.
 
-Each candidate's terms are built in one pass over plain dicts, with the
-arithmetic (and so the bits) of FermionOperator's add_term, simplify, scaling
-and minus_hc: the raw terms canonicalized by fermion.normal_term and summed,
-the forward part scaled, then the skew dict: forward terms, adjoints with -c.
+Each generator's terms are built in one pass over plain dicts, with the
+arithmetic (and so the bits) of FermionOperator's add_term, scaling and
+minus_hc: the raw terms canonicalized by fermion.normal_term and summed
+(the sums are small nonzero integers), the forward part scaled, then the
+skew dict: forward terms, then each adjoint as 0.0 + c * -1.0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement
 
 from .fermion import FermionOperator, down, jordan_wigner_all, normal_term, up
-from .pauli import PauliSum, above_cutoff
+from .pauli import PauliSum
 from .statevector import bind_generators
 
 SINGLE = "single"
@@ -51,15 +56,8 @@ class PoolOperator:
 
     def forward_terms(self) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
         """The excitation half of the skew pair (coefficients real)."""
-        return _forward_terms(self.fermionic)
-
-
-def _forward_terms(skew: FermionOperator) -> list[tuple[tuple[int, ...], tuple[int, ...], float]]:
-    out = []
-    for (cre, ann), c in skew.sorted_terms():
-        if (cre, ann) < (tuple(reversed(ann)), tuple(reversed(cre))):
-            out.append((cre, ann, float(c.real)))
-    return out
+        return [(cre, ann, float(c.real)) for (cre, ann), c in self.fermionic.sorted_terms()
+                if (cre, ann) < (ann[::-1], cre[::-1])]
 
 
 def _single_raw(p: int, q: int) -> list:
@@ -82,27 +80,20 @@ def _double_triplet_raw(p: int, q: int, r: int, s: int) -> list:
             (+2.0, (down(p), down(q)), (down(r), down(s)))]
 
 
-def _skew_terms(raw: list) -> tuple[tuple, dict] | None:
-    """Fingerprint and skew terms of one candidate; None if the skew vanishes.
+def _skew_terms(raw: list) -> dict:
+    """Skew terms of one generator: the raw terms canonicalized by
+    fermion.normal_term and summed, scaled, then their adjoints with -c.
     The summed raw coefficients are small integers, so their squares add up
     exactly in any order; the forward ones are real, so an adjoint's is -c."""
     fwd: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
     for coeff, cre, ann in raw:
-        term = normal_term(coeff, cre, ann)
-        if term is not None:
-            fwd[term[1:]] = fwd.get(term[1:], 0.0) + term[0]
-    fwd = {key: c for key, c in fwd.items() if above_cutoff(c)}
-    if not fwd:
-        return None
+        c, cre, ann = normal_term(coeff, cre, ann)
+        fwd[cre, ann] = fwd.get((cre, ann), 0.0) + c
     scale = math.copysign(1.0, fwd[min(fwd)].real) / math.sqrt(
         sum([c.real * c.real for c in fwd.values()]))
-    fwd = {key: c * scale for key, c in fwd.items()}
-    skew = dict(fwd)
-    for (cre, ann), c in fwd.items():
-        skew[ann[::-1], cre[::-1]] = skew.get((ann[::-1], cre[::-1]), 0.0) + c * -1.0
-    skew = {key: c for key, c in skew.items() if above_cutoff(c)}
-    fingerprint = tuple([(cre, ann, round(c.real, 12)) for (cre, ann), c in sorted(fwd.items())])
-    return (fingerprint, skew) if skew else None
+    skew = {key: c * scale for key, c in fwd.items()}
+    skew.update({(ann[::-1], cre[::-1]): 0.0 + c * -1.0 for (cre, ann), c in skew.items()})
+    return skew
 
 
 def build_pool(n_spatial: int) -> list[PoolOperator]:
@@ -116,34 +107,21 @@ def build_pool(n_spatial: int) -> list[PoolOperator]:
     """
     if n_spatial < 2:
         raise ValueError("pool needs at least 2 spatial orbitals")
-    n_qubits = 2 * n_spatial
-    elements: list[tuple[str, tuple[int, ...], FermionOperator, str]] = []
-    seen: set[tuple] = set()
-
-    def emit(kind: str, spatial: tuple[int, ...], raw: list, label: str):
-        terms = _skew_terms(raw)
-        if terms is not None and terms[0] not in seen:
-            seen.add(terms[0])
-            elements.append((kind, spatial, FermionOperator(0.0, terms[1]), label))
-
-    for p in range(1, n_spatial):
-        for q in range(p):
-            emit(SINGLE, (p, q), _single_raw(p, q), f"s({p},{q})")
-
+    elements = [(SINGLE, (p, q), _single_raw(p, q), f"s({p},{q})")
+                for p in range(1, n_spatial) for q in range(p)]
     pairs = list(combinations_with_replacement(range(n_spatial), 2))
     for ci, (p, q) in enumerate(pairs):
-        for (r, s) in pairs[ci:]:
-            emit(DOUBLE_SINGLET, (p, q, r, s),
-                 _double_singlet_raw(p, q, r, s), f"dS({p},{q},{r},{s})")
-            emit(DOUBLE_TRIPLET, (p, q, r, s),
-                 _double_triplet_raw(p, q, r, s), f"dT({p},{q},{r},{s})")
-    images = jordan_wigner_all([skew for _, _, skew, _ in elements], n_qubits)
+        for (r, s) in pairs[ci + 1:]:
+            elements.append((DOUBLE_SINGLET, (p, q, r, s),
+                             _double_singlet_raw(p, q, r, s), f"dS({p},{q},{r},{s})"))
+            if p < q and r < s:
+                elements.append((DOUBLE_TRIPLET, (p, q, r, s),
+                                 _double_triplet_raw(p, q, r, s), f"dT({p},{q},{r},{s})"))
+    skews = [FermionOperator(0.0, _skew_terms(raw)) for _, _, raw, _ in elements]
+    images = jordan_wigner_all(skews, 2 * n_spatial)
     ops = [PoolOperator(kind, spatial, skew, image, label)
-           for (kind, spatial, skew, label), image in zip(elements, images)]
-    # bound to the fermionic forms alone: a bound method would reach back to
-    # the qubit form, whose cache holds the binding
-    bind_generators([op.qubit for op in ops],
-                    [partial(_forward_terms, op.fermionic) for op in ops])
+           for (kind, spatial, _, label), skew, image in zip(elements, skews, images)]
+    bind_generators([op.qubit for op in ops], [op.forward_terms() for op in ops])
     return ops
 
 

@@ -298,6 +298,9 @@ def mc_sweep(basis: SubspaceBasis, h: PauliSum, cells: Sequence[ShotConfig],
         raise ValueError("need at least 2 runs")
     if not cells:
         raise ValueError("no shot cells to sweep")
+    if len(cells) * runs * (len(basis) * (len(basis) + 1) // 2) >= _INT64_LIMIT:
+        raise ValueError(f"runs = {runs}: the (cells, runs, entries) sample arrays "
+                         "exceed the int64 range")
     exact = solve_gevp(*build_matrices(basis, h), DEFAULT_S_THRESHOLD)
     estimators = MatrixEstimators.build(basis, h)
     h_vals, s_vals = estimators.sample(cells, range(runs))

@@ -18,10 +18,10 @@ space's indices, real whenever every entry is real (as for all FCIDUMP
 input), and cached on the instance.  On a sector the matrix is the sector
 block, so apply_paulisum returns the sector projection of h|v>.  A Hamiltonian,
 or any sum a caller builds, compiles from its Pauli strings one X mask at a
-time.  The generators of a pool are bound to their excitation terms
-(bind_generators): the first time a space needs any of them, all of them
-compile in one vectorized pass over every term by determinant string rules,
-into one stacked CSR whose row block l is generator l's matrix, exactly
+time.  The generators of a pool are bound, as the pool is built, to the
+lists of their excitation terms (bind_generators): the first time a space
+needs any of them, all of them compile in one vectorized pass over every
+term by determinant string rules, into one stacked CSR whose row block l is generator l's matrix, exactly
 antisymmetric and free of cancellation residues.  apply_generators is one
 product with that stack.  Generator exponentials are exact: the compiled
 generator splits into small connected blocks, each eigendecomposed once into
@@ -42,7 +42,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fermion import down, up
+from .fermion import down, spin, up
 from .pauli import COEFF_CUTOFF, I_POWERS, PauliSum, ResourceLimitError
 
 _DENSE_EIG_MAX_DIM = 1024
@@ -95,9 +95,9 @@ def sector_space(n_qubits: int, n_alpha: int, n_beta: int) -> Space:
     """Determinants with n_alpha spin-up and n_beta spin-down orbitals
     occupied; an odd register's top qubit is spin up."""
     strings = []
-    for spin, count, n_orb in ((up, n_alpha, (n_qubits + 1) // 2),
-                               (down, n_beta, n_qubits // 2)):
-        strings.append(np.array([sum(1 << spin(g) for g in occ)
+    for orbital, count, n_orb in ((up, n_alpha, (n_qubits + 1) // 2),
+                                  (down, n_beta, n_qubits // 2)):
+        strings.append(np.array([sum(1 << orbital(g) for g in occ)
                                  for occ in combinations(range(n_orb), count)],
                                 dtype=np.int64))
     indices = np.sort((strings[0][:, None] | strings[1][None, :]).ravel())
@@ -185,10 +185,9 @@ class _GeneratorGroup:
         spin counts, so the stack has no entry outside the space.
         """
         terms = [(l, tuple(reversed(ann)) + tuple(reversed(cre)), len(ann), c)
-                 for l, ex in enumerate(self.excitations) for cre, ann, c in ex()]
+                 for l, ex in enumerate(self.excitations) for cre, ann, c in ex]
         for _, ops, n_ann, _ in terms:
-            # spin orbital p has spin p % 2 (fermion.up, fermion.down)
-            if sorted(p % 2 for p in ops[:n_ann]) != sorted(p % 2 for p in ops[n_ann:]):
+            if sorted(map(spin, ops[:n_ann])) != sorted(map(spin, ops[n_ann:])):
                 raise ValueError(f"excitation term {ops} changes a spin count")
         width = max((len(ops) for _, ops, _, _ in terms), default=0)
         member = np.array([l for l, _, _, _ in terms], dtype=np.int64)
@@ -254,14 +253,13 @@ class _GeneratorGroup:
 def bind_generators(sums: list[PauliSum], excitations: list) -> None:
     """Compile the anti-Hermitian sums from their excitation terms, together.
 
-    excitations[l]() lists the (creations, annihilations, real coefficient)
-    terms of the excitation half F_l of sums[l] = F_l - F_l^dagger, in the
-    canonical order of fermion.FermionOperator (pool.PoolOperator
-    .forward_terms); every term must conserve both spin counts.  It is
-    called when the group first compiles, so binding costs nothing up
-    front.  From then on each sum's matrix over a space is row block l of
-    the group's stacked matrix, whichever call compiles it first.  Bind
-    before anything compiles the sums.
+    excitations[l] is the list of (creations, annihilations, real
+    coefficient) terms of the excitation half F_l of sums[l] = F_l -
+    F_l^dagger, in the canonical order of fermion.FermionOperator
+    (pool.PoolOperator.forward_terms), computed before binding; every term
+    must conserve both spin counts.  From then on each sum's matrix over a
+    space is row block l of the group's stacked matrix, whichever call
+    compiles it first.  Bind before anything compiles the sums.
     """
     if len(sums) != len(excitations):
         raise ValueError("one excitation list per generator")

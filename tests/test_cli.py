@@ -340,6 +340,24 @@ def test_noise_rejects_shot_counts_past_int64(tmp_path, capsys):
     assert not (tmp_path / "out" / "noise.csv").exists()
 
 
+def test_noise_rejects_run_counts_past_int64(tmp_path, monkeypatch, capsys):
+    # 10^30 runs pass the schema and the double check; the sweep refuses
+    # them before it builds its estimators or sizes a sample array
+    from gcim import shots
+
+    def refuse(*args):
+        raise AssertionError("estimators built")
+
+    monkeypatch.setattr(shots.MatrixEstimators, "build", refuse)
+    doc = _toy_doc(tmp_path, tau_grid=[1e10], noise_runs=10 ** 30)
+    assert main(["noise", "--config", str(_write_config(tmp_path, doc))]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"gcim: error: runs = {10 ** 30}: the (cells, runs, entries) "
+                                "sample arrays exceed the int64 range"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "noise.csv").exists()
+
+
 def test_noise_rejects_empty_tau_grid(tmp_path, capsys):
     # an empty grid used to run the whole adapt-gcim loop and estimator build
     # before the sampler refused zero cells

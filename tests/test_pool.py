@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,13 @@ from gcim.pool import (
     DOUBLE_SINGLET,
     DOUBLE_TRIPLET,
     SINGLE,
+    _double_singlet_raw,
+    _double_triplet_raw,
+    _single_raw,
     build_pool,
     pool_to_json,
 )
-from gcim.statevector import apply_paulisum, hf_state
+from gcim.statevector import apply_generators, apply_paulisum, hf_state
 
 from helpers import (
     dense_from_sum,
@@ -219,3 +224,57 @@ def test_pool_json_matches_golden_hash(n_spatial):
 def test_pool_requires_two_spatial():
     with pytest.raises(ValueError):
         build_pool(1)
+
+
+def _algebra_skew(raw):
+    """The skew operator of one candidate by operator algebra: add_term,
+    simplify, sign and norm scale of the forward part, minus_hc().simplify();
+    None where either part vanishes."""
+    fwd = FermionOperator()
+    for c, cre, ann in raw:
+        fwd.add_term(c, cre, ann)
+    fwd = fwd.simplify()
+    if not fwd.terms:
+        return None
+    coeffs = np.array([c.real for _, c in fwd.sorted_terms()])
+    skew = (fwd * (np.sign(fwd.sorted_terms()[0][1].real) / np.linalg.norm(coeffs))
+            ).minus_hc().simplify()
+    return skew if skew.terms else None
+
+
+@pytest.mark.parametrize("n_spatial", range(2, 8))
+def test_pool_is_every_nonvanishing_candidate(n_spatial):
+    # every tuple of the wider enumeration (p > q; p <= q, r <= s,
+    # (p, q) <= (r, s), singlet and triplet): the pool keeps exactly those
+    # whose skew part is nonzero, in order, with the algebra's terms and bits
+    candidates = [(f"s({p},{q})", _single_raw(p, q))
+                  for p in range(1, n_spatial) for q in range(p)]
+    pairs = list(combinations_with_replacement(range(n_spatial), 2))
+    for ci, (p, q) in enumerate(pairs):
+        for r, s in pairs[ci:]:
+            candidates.append((f"dS({p},{q},{r},{s})", _double_singlet_raw(p, q, r, s)))
+            candidates.append((f"dT({p},{q},{r},{s})", _double_triplet_raw(p, q, r, s)))
+    expected = [(label, skew) for label, raw in candidates
+                if (skew := _algebra_skew(raw)) is not None]
+    pool = build_pool(n_spatial)
+    assert [op.label for op in pool] == [label for label, _ in expected]
+    for op, (_, skew) in zip(pool, expected):
+        assert list(op.fermionic.terms) == list(skew.terms)
+        assert list(map(repr, op.fermionic.terms.values())) == list(map(repr, skew.terms.values()))
+    fingerprints = {tuple((cre, ann, round(c, 12)) for cre, ann, c in op.forward_terms())
+                    for op in pool}
+    assert len(fingerprints) == len(pool)
+
+
+def test_pool_binding_makes_no_reference_cycle():
+    # a cycle through the binding leaves every pool to the cyclic collector,
+    # which slowed repeated build_pool calls by about 20 %
+    gc.collect()
+    gc.disable()
+    try:
+        pool = build_pool(3)
+        apply_generators([op.qubit for op in pool], hf_state(6, 2, 1))
+        del pool
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

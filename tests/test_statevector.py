@@ -487,7 +487,7 @@ def test_bound_generator_terms_must_conserve_both_spin_counts():
     op = FermionOperator()
     op.add_term(1.0, (2,), (1,))  # spin-down orbital 1 to spin-up orbital 2
     gen = jordan_wigner(op.minus_hc(), 4)
-    bind_generators([gen], [lambda: [((2,), (1,), 1.0)]])
+    bind_generators([gen], [[((2,), (1,), 1.0)]])
     with pytest.raises(ValueError, match="spin count"):
         exp_apply(gen, 0.3, hf_state(4, 1, 1))
 
