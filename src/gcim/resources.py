@@ -2,12 +2,8 @@
 
 Closed forms assume order-1 Trotterization of the skew-Hermitian excitation
 pairs a+_p a_q - h.c. (index order q < p) and a+_p a+_r a_q a_s - h.c.
-(index order q < s < p < r):
-
-  standard-trotter   4(p-q)            16(s-q + r-p + 1)
-  reduced            2(p-q) + 1        2(s-q + r-p) + 9
-  givens-fswap       6(p-q) - 4        6(r-s + p-q) - 10
-  givens-adjacent    2                 14    (all indices adjacent)
+(index order q < s < p < r); _CLOSED_FORMS is their table, one row per
+scheme (givens-adjacent assumes all indices adjacent).
 
 A spin-adapted pool operator is costed as the sum over its constituent skew
 pairs.  Pairs with a repeated spin orbital (occupation-weighted excitations
@@ -31,36 +27,18 @@ REDUCED = "reduced"
 GIVENS_FSWAP = "givens-fswap"
 GIVENS_ADJACENT = "givens-adjacent"
 
-SCHEMES = (STANDARD, REDUCED, GIVENS_FSWAP, GIVENS_ADJACENT)
+# scheme: (single's count from d = p - q, double's count from (q, s, p, r))
+_CLOSED_FORMS = {
+    STANDARD:        (lambda d: 4 * d,     lambda q, s, p, r: 16 * (s - q + r - p + 1)),
+    REDUCED:         (lambda d: 2 * d + 1, lambda q, s, p, r: 2 * (s - q + r - p) + 9),
+    GIVENS_FSWAP:    (lambda d: 6 * d - 4, lambda q, s, p, r: 6 * (r - s + p - q) - 10),
+    GIVENS_ADJACENT: (lambda d: 2,         lambda q, s, p, r: 14),
+}
+SCHEMES = tuple(_CLOSED_FORMS)
 
 
 class IndexOrderError(ValueError):
     """Raw index tuple violates the required ordering."""
-
-
-def _single_count(p: int, q: int, scheme: str) -> int:
-    d = p - q
-    if scheme == STANDARD:
-        return 4 * d
-    if scheme == REDUCED:
-        return 2 * d + 1
-    if scheme == GIVENS_FSWAP:
-        return 6 * d - 4
-    if scheme == GIVENS_ADJACENT:
-        return 2
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _double_count(q: int, s: int, p: int, r: int, scheme: str) -> int:
-    if scheme == STANDARD:
-        return 16 * (s - q + r - p + 1)
-    if scheme == REDUCED:
-        return 2 * (s - q + r - p) + 9
-    if scheme == GIVENS_FSWAP:
-        return 6 * (r - s + p - q) - 10
-    if scheme == GIVENS_ADJACENT:
-        return 14
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _ladder_count(op: FermionOperator, n_qubits: int) -> int:
@@ -75,19 +53,16 @@ def _pair_count(cre: tuple[int, ...], ann: tuple[int, ...], scheme: str,
                 n_qubits: int) -> int:
     indices = tuple(cre) + tuple(ann)
     if len(indices) == 2:
-        hi, lo = max(indices), min(indices)
-        return _single_count(hi, lo, scheme)
+        return _CLOSED_FORMS[scheme][0](max(indices) - min(indices))
     distinct = sorted(set(indices))
     if len(distinct) == 4:
-        w, x, y, z = distinct
-        return _double_count(w, x, y, z, scheme)
+        return _CLOSED_FORMS[scheme][1](*distinct)
     # repeated spin orbital: no closed form in the non-degenerate tables
     if scheme == STANDARD:
         op = FermionOperator()
         op.add_term(1.0, cre, ann)
         return _ladder_count(op.minus_hc(), n_qubits)
-    w, x, y, z = sorted(indices)
-    return _double_count(w, x, y, z, scheme)
+    return _CLOSED_FORMS[scheme][1](*sorted(indices))
 
 
 def cnot_count(op, scheme: str = STANDARD) -> int:
@@ -109,12 +84,12 @@ def cnot_count(op, scheme: str = STANDARD) -> int:
         p, q = idx
         if not q < p:
             raise IndexOrderError(f"single excitation needs q < p, got {idx}")
-        return _single_count(p, q, scheme)
+        return _CLOSED_FORMS[scheme][0](p - q)
     if len(idx) == 4:
         q, s, p, r = idx
         if not q < s < p < r:
             raise IndexOrderError(f"double excitation needs q < s < p < r, got {idx}")
-        return _double_count(q, s, p, r, scheme)
+        return _CLOSED_FORMS[scheme][1](q, s, p, r)
     raise ValueError(f"expected a 2- or 4-index tuple, got {idx!r}")
 
 

@@ -21,12 +21,15 @@ or any sum a caller builds, compiles from its Pauli strings one X mask at a
 time.  The generators of a pool are bound, as the pool is built, to the
 lists of their excitation terms (bind_generators): the first time a space
 needs any of them, all of them compile in one vectorized pass over every
-term by determinant string rules, into one stacked CSR whose row block l is generator l's matrix, exactly
-antisymmetric and free of cancellation residues.  apply_generators is one
-product with that stack.  Generator exponentials are exact: the compiled
-generator splits into small connected blocks, each eigendecomposed once into
-spectral projectors, cached as one stacked sparse matrix, so exp(theta * A)|v>
-is one product with that stack and a sum weighted by sin(theta w) and
+term by determinant string rules, into one stacked CSR whose row block l is
+generator l's matrix A_l = F_l - F_l^T.  One rule sums both: F_l sums each
+position's terms in term order, and A_l sums at each position k F_l(k), then
+-F_l(k^T), so A_l is exactly antisymmetric; entries below COEFF_CUTOFF
+(cancellation residues) are dropped.  apply_generators is one product with
+that stack.  Generator exponentials are exact: the compiled generator splits
+into small connected blocks, each eigendecomposed once into spectral
+projectors, cached as one stacked sparse matrix, so exp(theta * A)|v> is one
+product with that stack and a sum weighted by sin(theta w) and
 cos(theta w) - 1.  The dense path exists separately as an oracle
 (pauli.jw_to_matrix).
 """
@@ -178,11 +181,13 @@ class _GeneratorGroup:
         string through them: the pair survives if every annihilated orbital
         is occupied and every created one empty, and its sign is
         (-1)^(occupied orbitals below each ladder operator).  Members are
-        compiled a run at a time, about _CHUNK pairs each.  Entries of F
-        sharing a position are summed in term order; A(k) = F(k) - F(k^T)
-        then holds A(k^T) = -A(k) exactly, and entries below COEFF_CUTOFF
-        (cancellation residues) are dropped.  A term must conserve both
-        spin counts, so the stack has no entry outside the space.
+        compiled a run at a time, about _CHUNK pairs each.  F and A come
+        from one per-key sum (summed): F sums the entries at each key in
+        term order, and A sums at each key k F(k), then -F(k^T).  In IEEE
+        arithmetic a + (-b) = -(b + (-a)) exactly, so A(k^T) = -A(k) to
+        the bit.  Entries below COEFF_CUTOFF (cancellation residues) are
+        dropped.  A term must conserve both spin counts, so the stack has no
+        entry outside the space.
         """
         terms = [(l, tuple(reversed(ann)) + tuple(reversed(cre)), len(ann), c)
                  for l, ex in enumerate(self.excitations) for cre, ann, c in ex]
@@ -210,9 +215,9 @@ class _GeneratorGroup:
             l, row = np.divmod(block_row, dim)
             return (l * dim + col) * dim + row
 
-        def f(k):   # F at the keys k of the current run, 0 where it has no entry
-            at = np.minimum(np.searchsorted(keys, k), keys.size - 1)
-            return np.where(keys[at] == k, fvals[at], 0.0)
+        def summed(keys, weights):   # the distinct keys, each one's weights summed in input order
+            keys, inverse = np.unique(keys, return_inverse=True)
+            return keys, np.bincount(inverse, weights=weights, minlength=keys.size)
 
         l0 = 0
         while l0 < n_members:
@@ -232,13 +237,11 @@ class _GeneratorGroup:
             t, j = np.nonzero(alive)
             pos, _ = space.positions(cur[t, j])
             # key ((member - l0) * dim + row) * dim + col, sorted and unique
-            keys, inverse = np.unique(((member[chunk][t] - l0) * dim + pos) * dim + j,
-                                      return_inverse=True)
-            fvals = np.bincount(inverse, weights=coeff[chunk][t] * (1.0 - 2.0 * (parity[t, j] & 1)),
-                                minlength=keys.size)
-            akeys = np.sort(np.concatenate((keys, transposed(keys))))
-            akeys = akeys[np.diff(akeys, prepend=-1) != 0]
-            avals = f(akeys) - f(transposed(akeys))
+            keys, fvals = summed(((member[chunk][t] - l0) * dim + pos) * dim + j,
+                                 coeff[chunk][t] * (1.0 - 2.0 * (parity[t, j] & 1)))
+            # each key sums F(k), then -F(k^T)
+            akeys, avals = summed(np.concatenate((keys, transposed(keys))),
+                                  np.concatenate((fvals, -fvals)))
             keep = np.abs(avals) >= COEFF_CUTOFF
             rows, col = np.divmod(akeys[keep], dim)
             indptr[l0 * dim + 1:l1 * dim + 1] = np.bincount(rows, minlength=(l1 - l0) * dim)

@@ -101,6 +101,13 @@ def test_pool_single_sums_spin_channels():
     assert cnot_count(single, STANDARD) == 16
 
 
+def test_unknown_scheme_is_refused():
+    pool = build_pool(2)
+    for op in (pool[0], (1, 0), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            cnot_count(op, "bogus")
+
+
 def test_ansatz_totals_additive_and_permutation_invariant():
     pool = build_pool(3)
     recipe = BasisRecipe(((0, 0.3), (4, -0.2), (7, 1.0)))

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcim.fermion import FermionOperator, jordan_wigner
-from gcim.pauli import PauliSum, jw_to_matrix
+from gcim.pauli import COEFF_CUTOFF, PauliSum, jw_to_matrix
 from gcim.statevector import (
     StateVector,
     apply_paulisum,
@@ -461,6 +464,89 @@ def test_pool_matrices_from_excitation_terms_match_jordan_wigner(case, toy, h4):
         assert np.max(np.abs(dense - jw_to_matrix(op.qubit)[np.ix_(keep, keep)])) <= 1e-15
         assert np.array_equal(dense, -dense.T)
         assert np.all(np.abs(mat.data) >= 1e-15)
+
+
+def _pool_case(case, request):
+    """A pool and the space its stack is compiled over."""
+    from gcim.pool import build_pool
+    from gcim.statevector import full_space, sector_space
+
+    if case in ("toy-1-1", "h4-2-2"):
+        _, pool, ref = request.getfixturevalue(case[:case.index("-")])
+        return pool, ref.space
+    n_spatial, sector = {"3orb-2-1": (3, (2, 1)), "4orb-2-2": (4, (2, 2)),
+                         "5orb-2-2": (5, (2, 2)), "2orb-full": (2, None)}[case]
+    space = full_space(4) if sector is None else sector_space(2 * n_spatial, *sector)
+    return build_pool(n_spatial), space
+
+
+def _compiled_stack(pool, space):
+    """The pool's stacked matrix over the space, compiled afresh."""
+    from gcim.statevector import _cache
+
+    group, _ = _cache(pool[0].qubit)["group"]
+    return group._compile(space)
+
+
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("case", ["3orb-2-1", "4orb-2-2", "5orb-2-2", "2orb-full"])
+def test_pool_compile_does_not_depend_on_its_chunk_size(case, request):
+    # one generator per chunk against the default runs: the same bytes
+    import gcim.statevector as statevector
+
+    pool, space = _pool_case(case, request)
+    default = _compiled_stack(pool, space)
+    with mock.patch.object(statevector, "_CHUNK", 1):
+        _assert_same_bytes(_compiled_stack(pool, space), default)
+
+
+def _reference_stack(pool, space) -> sp.csr_array:
+    """The stack by plain Python: every determinant walked through each
+    forward term's ladder operators (annihilations, then creations, each
+    right to left), the sign (-1)^(occupied orbitals below each one), F
+    summed per position in term order, A = 0.0 + F(k) + (-F(k^T))."""
+    dim = space.dim
+    states = [int(j) for j in space.indices]
+    position = {j: i for i, j in enumerate(states)}
+    indptr, indices, data = [0], [], []
+    for op in pool:
+        f = {}
+        for cre, ann, c in op.forward_terms():
+            ladder = [(p, False) for p in reversed(ann)] + [(p, True) for p in reversed(cre)]
+            for col, state in enumerate(states):
+                sign = 1.0
+                for p, create in ladder:
+                    if (state >> p & 1) == create:
+                        break
+                    if bin(state & ((1 << p) - 1)).count("1") % 2:
+                        sign = -sign
+                    state ^= 1 << p
+                else:
+                    key = (position[state], col)
+                    f[key] = f.get(key, 0.0) + c * sign
+        a = {}
+        for row, col in sorted(f.keys() | {(col, row) for row, col in f}):
+            value = 0.0 + f.get((row, col), 0.0) + -f.get((col, row), 0.0)
+            if abs(value) >= COEFF_CUTOFF:
+                a[row, col] = value
+        for row in range(dim):
+            cols = sorted(col for r, col in a if r == row)
+            indices += cols
+            data += [a[row, col] for col in cols]
+            indptr.append(len(indices))
+    return sp.csr_array((np.array(data, dtype=np.float64), np.array(indices), np.array(indptr)),
+                        shape=(len(pool) * dim, dim))
+
+
+@pytest.mark.parametrize("case", ["toy-1-1", "h4-2-2", "3orb-2-1", "2orb-full"])
+def test_pool_stack_matches_plain_python_reference_bit_for_bit(case, request):
+    pool, space = _pool_case(case, request)
+    _assert_same_bytes(_compiled_stack(pool, space), _reference_stack(pool, space))
 
 
 def test_pool_matrices_do_not_depend_on_call_order():
