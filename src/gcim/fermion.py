@@ -16,13 +16,13 @@ jordan_wigner_all maps a list of operators in one numpy pass over uint64
 one-operator case.  One vectorized screen over every constant and term drops
 those below COEFF_CUTOFF and raises at the first that is NaN or infinite
 (ValueError) or keeps an index off the register (IndexError), as a term by
-term screen would.  Terms go in runs of about _RUN_PRODUCTS product strings.
-Within a run, the terms with k ladder operators expand together, one ladder
+term screen would.  In one pass over all kept terms, the terms with k
+ladder operators, from any operator, expand together, one ladder
 step at a time: every (term, string) row times X_p Z_{<p} and Y_p Z_{<p},
 with pauli.mask_mul's phase rule.  In one step a string gets at most two
 contributions, an X-type and a Y-type from two rows that differ only in the
 Z bit of a repeated index; they are summed in first-occurrence order and
-strings below COEFF_CUTOFF are dropped.  The fold then sums each (operator,
+strings below COEFF_CUTOFF are dropped.  One fold then sums each (operator,
 x, z) key over the operator's terms in term order: a sum that falls below
 the cutoff is popped and a later contribution restarts it from 0j, and the
 keys come out in the order a dict would hold them.  That is the arithmetic
@@ -165,8 +165,7 @@ _ANNIHILATION_Y = complex(0.0, 0.5)
 _PHASES = np.array(I_POWERS)
 _ONE = np.uint64(1)
 
-MASK_BITS = 64           # (x, z) masks are uint64
-_RUN_PRODUCTS = 1 << 12  # product strings per run: bounds the transient arrays
+MASK_BITS = 64  # (x, z) masks are uint64
 
 
 def _magnitude(c: np.ndarray) -> np.ndarray:
@@ -245,8 +244,9 @@ def _expand(coeff: np.ndarray, ladders: np.ndarray, n_cre: np.ndarray):
 
 def _products(op, coeff, k, n_cre, flat, offset) -> tuple[np.ndarray, ...]:
     """(op, x, z, value) rows of every term's ladder product, in term order;
-    term t's k[t] ladder indices, creations first, start at flat[offset[t]]."""
-    parts = []
+    term t's k[t] ladder indices, creations first, start at flat[offset[t]].
+    With no term, the columns are empty but typed."""
+    parts = [(k[:0], np.zeros(0, np.uint64), np.zeros(0, np.uint64), coeff[:0])]
     for n in np.unique(k):
         idx = np.flatnonzero(k == n)
         t, x, z, c = _expand(coeff[idx], flat[offset[idx, None] + np.arange(n)], n_cre[idx])
@@ -256,16 +256,16 @@ def _products(op, coeff, k, n_cre, flat, offset) -> tuple[np.ndarray, ...]:
     return op[term[order]], x[order], z[order], c[order]
 
 
-def _fold(op, x, z, c, seq):
-    """Sum every (op, x, z) key's values in seq order, as a dict would.
+def _fold(op, x, z, c):
+    """Sum every (op, x, z) key's values in row order, as a dict would.
 
     A sum below the cutoff pops the key and the next value restarts it from
-    0j.  Returns the keys left with their sums and the seq at which each
+    0j.  Returns the keys left with their sums and the row at which each
     was last inserted, which is its dict position.
     """
-    # stable, on rows in op order: a key's rows end up adjacent, in seq order
-    order = np.lexsort((z, x))
-    op, x, z, c, seq = op[order], x[order], z[order], c[order], seq[order]
+    # stable, on rows in op order: a key's rows end up adjacent, in row order
+    row = np.lexsort((z, x))
+    op, x, z, c = op[row], x[row], z[row], c[row]
     new = np.ones(len(op), bool)
     new[1:] = (op[1:] != op[:-1]) | (x[1:] != x[:-1]) | (z[1:] != z[:-1])
     start = np.flatnonzero(new)
@@ -279,7 +279,7 @@ def _fold(op, x, z, c, seq):
         item = start[group] + r
         s = total[group] + c[item]
         keep = _magnitude(s) >= COEFF_CUTOFF
-        inserted[group] = np.where(keep & ~present[group], seq[item], inserted[group])
+        inserted[group] = np.where(keep & ~present[group], row[item], inserted[group])
         present[group] = keep
         total[group] = np.where(keep, s, 0.0)
     left = start[present]
@@ -321,27 +321,9 @@ def jordan_wigner_all(ops: Sequence[FermionOperator], n_qubits: int) -> list[Pau
         p = next(p for p in ladders[bad[0]] if not 0 <= p < n_qubits)
         raise IndexError(f"spin orbital {p} exceeds register of {n_qubits} qubits")
     op_of, n_cre = np.array(op_of, np.int64)[kept], np.array(n_cre, np.int64)[kept]
-    coeff, k, offset = coeff[kept], k[kept], offset[kept]
-    # runs of whole terms, about _RUN_PRODUCTS strings each; an operator
-    # cut by a run boundary carries its partial sums into the next run
-    sizes = np.concatenate(([0.0], np.cumsum(2.0 ** k)))
-    # (op, x, z, value, seq) columns; the carry starts empty
-    carry = (op_of[:0], np.zeros(0, np.uint64), np.zeros(0, np.uint64), coeff[:0], op_of[:0])
-    parts = [carry]
-    seq = start = 0
-    while start < len(k):
-        stop = min(int(np.searchsorted(sizes, sizes[start] + _RUN_PRODUCTS)), len(k))
-        run = slice(start, stop)
-        op, x, z, c = _products(op_of[run], coeff[run], k[run], n_cre[run], flat, offset[run])
-        items = (op, x, z, c, np.arange(seq, seq + len(op)))
-        seq += len(op)
-        folded = _fold(*(np.concatenate(pair) for pair in zip(carry, items)))
-        cut = folded[0] == (op_of[stop] if stop < len(k) else -1)
-        carry = tuple(a[cut] for a in folded)
-        parts.append(tuple(a[~cut] for a in folded))
-        start = stop
-    op, x, z, c, inserted = (np.concatenate(a) for a in zip(*parts))
-    order = np.argsort(inserted)  # operator-major: seq grows with op
+    op, x, z, c = _products(op_of, coeff[kept], k[kept], n_cre, flat, offset[kept])
+    op, x, z, c, inserted = _fold(op, x, z, c)
+    order = np.argsort(inserted)  # operator-major: rows grow with op
     op, x, z, c = op[order], x[order], z[order], 0j + c[order]
     # the fold cut every sum at COEFF_CUTOFF; one that overflowed is refused
     if not np.isfinite(c).all():

@@ -52,6 +52,10 @@ _DENSE_EIG_MAX_DIM = 1024
 _ORACLE_MAX_DIM = 1 << 16
 _LEAK_TOL = 1e-12   # largest entry a generator may send out of its space
 _CHUNK = 1 << 14    # (term, state) pairs per step of the excitation compile
+# Unlike the Jordan-Wigner map's, these chunks pay for themselves: compiling
+# the pool over the (3, 3) sector in one pass instead took 21.6 -> 28.6 ms
+# and 11 MiB more peak memory at 12 qubits, 110.3 -> 129.9 ms and 61 MiB more
+# at 14 (min of 7, numpy 2.4, 2-core Xeon).
 
 
 def _signs(idx: np.ndarray, z) -> np.ndarray:

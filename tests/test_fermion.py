@@ -1,11 +1,8 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gcim import fermion
 from gcim.fcidump import SpatialIntegrals, assemble_hamiltonian, parse_fcidump
 from gcim.fermion import FermionOperator, jordan_wigner, jordan_wigner_all
 from gcim.pauli import PauliSum, jw_to_matrix
@@ -179,15 +176,19 @@ _operators = st.lists(st.tuples(_coeffs, st.lists(st.tuples(_indices, _indices, 
 @example([(1.0, [((1,), (0,), 1.0)]), (-1.0, [((1,), (0,), -1.0)])])
 # operators with no term left beside ones with terms
 @example([(1e-15, []), (0.0, [((2,), (2,), 1.0)]), (0.0, [])])
+# no operator, and no constant or term at or above the cutoff: no row is expanded
+@example([])
+@example([(-0.0, [])])
+@example([(1e-20, []), (0.0, [((1,), (0,), 1e-15)])])
+# a constant-only, a one-body and a two-body operator
+@example([(2.0, []), (0.0, [((1,), (0,), 0.5), ((2,), (2,), -1.0)]),
+          (0.25, [((3, 1), (0, 2), 1.5j), ((2, 0), (0, 2), 0.75)])])
 def test_jw_batch_matches_product_reference_exactly(raw_ops):
     ops = [FermionOperator(constant, {(cre, ann): complex(c) for cre, ann, c in terms})
            for constant, terms in raw_ops]
     want = [exact_terms(jordan_wigner_reference(op, 5)) for op in ops]
-    # one run, and one run per term: every operator cut by run boundaries
-    for run_products in (fermion._RUN_PRODUCTS, 1):
-        with mock.patch.object(fermion, "_RUN_PRODUCTS", run_products):
-            images = jordan_wigner_all(ops, 5)
-        assert [exact_terms(image) for image in images] == want
+    images = jordan_wigner_all(ops, 5)
+    assert [exact_terms(image) for image in images] == want
 
 
 def _rechecked(image: PauliSum) -> PauliSum:
@@ -213,14 +214,29 @@ def _hubbard_chain(n_sites: int, t: float, u: float) -> SpatialIntegrals:
     return SpatialIntegrals(n_orb=n_sites, n_elec=4, ms2=0, one_body=one, two_body=two)
 
 
-@pytest.mark.parametrize("name", ["toy", "h4", "hubbard10"])
+def _dense_random(n_orb: int, seed: int) -> SpatialIntegrals:
+    """Random molecular integrals with every (pq|rs) nonzero."""
+    rng = np.random.default_rng(seed)
+    one = rng.normal(size=(n_orb, n_orb))
+    two = rng.normal(size=(n_orb,) * 4)
+    two = two + two.transpose(1, 0, 2, 3)
+    two = two + two.transpose(0, 1, 3, 2)
+    two = two + two.transpose(2, 3, 0, 1)
+    return SpatialIntegrals(n_orb=n_orb, n_elec=6, ms2=0, one_body=0.5 * (one + one.T),
+                            two_body=0.5 * two)
+
+
+@pytest.mark.parametrize("name", ["toy", "h4", "hubbard10", "random12"])
 def test_jw_hamiltonian_and_pool_match_product_reference(name, h4_path):
     if name == "toy":
         ints = toy_integrals(1.0, 2.0)
     elif name == "h4":
         ints = parse_fcidump(h4_path.read_text())
-    else:
+    elif name == "hubbard10":
         ints = _hubbard_chain(5, 1.0, 4.0)
+    else:  # 12 qubits, the densest map here
+        ints = _dense_random(6, 7)
+        assert np.all(ints.two_body != 0.0)
     n = 2 * ints.n_orb
     ops = [assemble_hamiltonian(ints)] + [op.fermionic for op in build_pool(ints.n_orb)]
     for op in ops:
