@@ -28,9 +28,7 @@ from .fermion import FermionOperator, jordan_wigner, jordan_wigner_all
 from .pauli import (
     PauliString,
     PauliSum,
-    jw_to_matrix,
     parse_pauli_json,
-    pauli_mul,
     pauli_sum_to_json,
 )
 from .pool import PoolOperator, build_pool, pool_to_json
@@ -60,7 +58,6 @@ from .subspace import (
     SubspaceBasis,
     build_matrices,
     excitation_energies,
-    orthogonalize_basis,
     overlap_deficit,
     reconstruct_state,
     solve_gevp,

@@ -166,23 +166,23 @@ class AdaptTrace:
                                                          spectrum.ground_state)
 
 
-def pool_gradients(state: StateVector, h: PauliSum,
+def pool_gradients(state: StateVector, w: StateVector,
                    pool: list[PoolOperator]) -> np.ndarray:
     """<state|[H, A_l]|state> = 2 Re <H state|A_l state> for every pool
-    element (real by construction).
+    element (real by construction), with w = H|state> from the caller.
 
-    H|state> is applied once, every A_l|state> comes from one stacked
-    product (apply_generators), and the gradients are 2 Re vecdot(H|state>,
-    products), one BLAS dot per row: StateVector.inner's, to the last bit.
+    Every A_l|state> comes from one stacked product (apply_generators), and
+    the gradients are 2 Re vecdot(w, products), one BLAS dot per row:
+    StateVector.inner's, to the last bit.
     """
-    w = apply_paulisum(h, state)
     products = apply_generators([op.qubit for op in pool], state)
     return 2.0 * np.vecdot(w.data, products).real
 
 
-def select_operator(surrogate: StateVector, h: PauliSum, pool: list[PoolOperator],
+def select_operator(surrogate: StateVector, w: StateVector, pool: list[PoolOperator],
                     excluded: set[int] | None = None) -> tuple[int, np.ndarray]:
-    """Index of the largest-|gradient| candidate; ties go to the lowest index.
+    """Index of the largest-|gradient| candidate at the surrogate, with
+    w = H|surrogate>; ties go to the lowest index.
 
     The full gradient vector (including excluded entries) is returned for
     trace records.
@@ -191,7 +191,7 @@ def select_operator(surrogate: StateVector, h: PauliSum, pool: list[PoolOperator
     candidates = [i for i in range(len(pool)) if i not in excluded]
     if not candidates:
         raise ValueError("empty candidate set: every pool operator is excluded")
-    grads = pool_gradients(surrogate, h, pool)
+    grads = pool_gradients(surrogate, w, pool)
     return candidates[_first_largest(np.abs(grads[candidates]))], grads
 
 
@@ -275,8 +275,11 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
     config.m-th iteration."""
     trace = AdaptTrace(algorithm=config.algorithm)
     basis = SubspaceBasis(reference=reference, pool=pool)
+    # the surrogate is always the basis's last state, so each screen reads
+    # H|surrogate> from the projected pair
+    basis.append(BasisRecipe())
+    build_matrices(basis, h)
     product = BasisRecipe()
-    surrogate = reference
     selected: set[int] = set()
     eps_prev: float | None = None
     stable = 0
@@ -284,7 +287,8 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
 
     for k in range(1, config.max_iterations + 1):
         tick = time.perf_counter()
-        sel, grads = select_operator(surrogate, h, pool, selected)
+        sel, grads = select_operator(basis.states[-1], basis.pair.h_kets[-1], pool,
+                                     selected)
         trace.time_gradients += time.perf_counter() - tick
         selected.add(sel)
         product = product.extended(sel, config.theta_init)
@@ -301,11 +305,10 @@ def _run_gcim_family(h: PauliSum, pool: list[PoolOperator], reference: StateVect
             product = product.with_thetas(thetas)
             surrogate = prepare_state(product, pool, reference)
         else:
-            surrogate = exp_apply(pool[sel].qubit, product.steps[-1][1], surrogate)
+            surrogate = exp_apply(pool[sel].qubit, product.steps[-1][1], basis.states[-1])
 
         single = BasisRecipe((product.steps[-1],))
-        new_recipes = [BasisRecipe(), single] if k == 1 else [single, product]
-        for recipe in new_recipes:
+        for recipe in [single] if k == 1 else [single, product]:
             # the surrogate is the product recipe's state, built by the same
             # exp_apply calls in the same order as prepare_state would make
             basis.append(recipe, state=surrogate if recipe == product else None)
@@ -372,10 +375,13 @@ def vqe_loop(h: PauliSum, pool: list[PoolOperator], reference: StateVector,
     loop = VqeLoop(h, pool, reference, config.max_iterations, config.vqe_grad_tol, trace)
     recipe = BasisRecipe()
     state = reference
-    energy = float(apply_paulisum(h, reference).inner(reference).real)
+    w = apply_paulisum(h, reference)
+    energy = float(w.inner(reference).real)
     for k in range(1, config.max_iterations + 1):
         tick = time.perf_counter()
-        sel, grads = select_operator(state, h, pool)
+        if k > 1:
+            w = apply_paulisum(h, state)
+        sel, grads = select_operator(state, w, pool)
         trace.time_gradients += time.perf_counter() - tick
         if np.sum(np.abs(grads)) < config.vqe_grad_tol:
             trace.converged = True

@@ -19,7 +19,8 @@ those below COEFF_CUTOFF and raises at the first that is NaN or infinite
 term screen would.  In one pass over all kept terms, the terms with k
 ladder operators, from any operator, expand together, one ladder
 step at a time: every (term, string) row times X_p Z_{<p} and Y_p Z_{<p},
-with pauli.mask_mul's phase rule.  In one step a string gets at most two
+with the phase of a string product, i^(y_a + y_b - y_c) (-1)^|z_a & x_b| for
+Y counts y.  In one step a string gets at most two
 contributions, an X-type and a Y-type from two rows that differ only in the
 Z bit of a repeated index; they are summed in first-occurrence order and
 strings below COEFF_CUTOFF are dropped.  One fold then sums each (operator,
@@ -112,44 +113,6 @@ class FermionOperator:
         out = {k: c for k, c in self.terms.items() if above_cutoff(c)}
         return FermionOperator(self.constant, out)
 
-    def dagger(self) -> "FermionOperator":
-        out = FermionOperator(self.constant.conjugate())
-        for (cre, ann), c in self.terms.items():
-            out.add_term(c.conjugate(), tuple(reversed(ann)), tuple(reversed(cre)))
-        return out
-
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        out = FermionOperator(self.constant + other.constant, dict(self.terms))
-        for k, c in other.terms.items():
-            out.terms[k] = out.terms.get(k, 0.0) + c
-        return out.simplify()
-
-    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar: complex) -> "FermionOperator":
-        return FermionOperator(self.constant * scalar,
-                               {k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def minus_hc(self) -> "FermionOperator":
-        """self - self† (skew-Hermitian closure; constants cancel to 2i Im)."""
-        return self - self.dagger()
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self._sum_within(self.dagger() * -1.0, tol)
-
-    def is_anti_hermitian(self, tol: float = 1e-12) -> bool:
-        return self._sum_within(self.dagger(), tol)
-
-    def _sum_within(self, other: "FermionOperator", tol: float) -> bool:
-        """Whether every coefficient of self + other is at most tol in modulus."""
-        total = dict(self.terms)
-        for k, c in other.terms.items():
-            total[k] = total.get(k, 0.0) + c
-        return all(abs(c) <= tol for c in (self.constant + other.constant, *total.values()))
-
     def sorted_terms(self) -> list[tuple[tuple[tuple[int, ...], tuple[int, ...]], complex]]:
         return sorted(self.terms.items())
 
@@ -221,7 +184,8 @@ def _expand(coeff: np.ndarray, ladders: np.ndarray, n_cre: np.ndarray):
         zx = z ^ (bx - _ONE)  # times X_p Z_{k<p}
         zy = zx ^ bx          # times Y_p Z_{k<p}
         nx = ax ^ bx
-        # pauli.mask_mul's phase exponent, X_p and Y_p alike
+        # the string product's phase exponent y_a + y_b - y_c + 2|z_a & x_b|,
+        # X_p and Y_p alike
         k0 = np.bitwise_count(ax & z) + 2 * np.bitwise_count(z & bx)
         vx = c * _HALF * _PHASES[(k0 - np.bitwise_count(nx & zx)) & 3]
         vy = c * y_coeff[s][term] * _PHASES[(k0 + 1 - np.bitwise_count(nx & zy)) & 3]

@@ -1,4 +1,4 @@
-"""Pauli-string algebra on a fixed qubit register.
+"""Pauli strings and sums on a fixed qubit register, their text and JSON forms.
 
 Strings are stored as (x, z) bit masks: bit j of ``x`` / ``z`` marks an X / Z
 component on qubit j, and (x_j, z_j) = (1, 1) is Y.  A string with Y count y
@@ -63,10 +63,6 @@ class PauliString:
             z |= zb << j
         return cls(x, z, len(label))
 
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(0, 0, n)
-
     @property
     def label(self) -> str:
         x, z = self.x, self.z
@@ -89,32 +85,13 @@ class PauliString:
 I_POWERS = tuple((1j) ** k for k in range(4))
 
 
-def mask_mul(ax: int, az: int, bx: int, bz: int) -> tuple[complex, int, int]:
-    """Product of the strings (ax, az) * (bx, bz) = phase * (x, z) on bare masks."""
-    x, z = ax ^ bx, az ^ bz
-    # i^(ya+yb-yc) from Y bookkeeping, (-1)^(za.xb) from commuting Z past X
-    k = ((ax & az).bit_count() + (bx & bz).bit_count() - (x & z).bit_count()
-         + 2 * (az & bx).bit_count())
-    return I_POWERS[k % 4], x, z
-
-
-def pauli_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Product a*b = phase * c with phase in {1, i, -1, -i}."""
-    if a.n != b.n:
-        raise ValueError(f"qubit-count mismatch: {a.n} vs {b.n}")
-    phase, x, z = mask_mul(a.x, a.z, b.x, b.z)
-    return phase, PauliString(x, z, a.n)
-
-
 class PauliSum:
     """Complex-weighted sum of PauliStrings on a common register.
 
-    The algebra merges duplicate strings in the dict it builds; construction
-    drops terms with |coefficient| < COEFF_CUTOFF and refuses a NaN or
-    infinite one.
-    Instances are treated as immutable once built; all algebra returns
-    new objects.  That is what lets statevector cache its compiled forms,
-    one per state space, in the ``_compiled`` slot on first use.
+    Construction drops terms with |coefficient| < COEFF_CUTOFF and refuses
+    a NaN or infinite one.  Instances are treated as immutable once built;
+    that is what lets statevector cache its compiled forms, one per state
+    space, in the ``_compiled`` slot on first use.
     """
 
     __slots__ = ("n_qubits", "terms", "_compiled")
@@ -143,54 +120,8 @@ class PauliSum:
         out.terms = terms
         return out
 
-    @classmethod
-    def from_label_dict(cls, d: dict[str, complex]) -> "PauliSum":
-        if not d:
-            return cls(0)
-        labels = list(d)
-        n = len(labels[0])
-        if any(len(s) != n for s in labels):
-            raise PauliFormatError("Pauli labels of unequal length")
-        return cls(n, {PauliString.from_label(s): c for s, c in d.items()})
-
-    @classmethod
-    def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n, {PauliString.identity(n): coeff})
-
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("register size mismatch")
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0j) + c
-        return PauliSum(self.n_qubits, out)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (other * -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, PauliSum):
-            if self.n_qubits != other.n_qubits:
-                raise ValueError("register size mismatch")
-            out: dict[PauliString, complex] = {}
-            for pa, ca in self.terms.items():
-                for pb, cb in other.terms.items():
-                    ph, pc = pauli_mul(pa, pb)
-                    out[pc] = out.get(pc, 0j) + ca * cb * ph
-            return PauliSum(self.n_qubits, out)
-        out = {p: c * other for p, c in self.terms.items()}
-        return PauliSum(self.n_qubits, out)
-
-    __rmul__ = __mul__
-
-    def dagger(self) -> "PauliSum":
-        return PauliSum(self.n_qubits, {p: np.conj(c) for p, c in self.terms.items()})
-
-    def commutator(self, other: "PauliSum") -> "PauliSum":
-        return self * other - other * self
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c in self.terms.values())
@@ -218,23 +149,6 @@ class PauliSum:
 
     def __repr__(self) -> str:
         return f"PauliSum(n={self.n_qubits}, terms={len(self.terms)})"
-
-
-def jw_to_matrix(h: PauliSum) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a PauliSum; qubit 0 least significant.
-
-    Brute-force oracle backend; refuses n > 16.
-    """
-    n = h.n_qubits
-    if n > 16:
-        raise ResourceLimitError(f"dense 2^{n} matrix exceeds the supported size")
-    dim = 1 << n
-    idx = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for p, c in h.terms.items():
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z) & 1)
-        mat[idx ^ p.x, idx] += c * (1j) ** p.y_count * signs
-    return mat
 
 
 def parse_pauli_json(text: str) -> PauliSum:

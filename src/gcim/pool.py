@@ -19,10 +19,11 @@ are equal.  The order is deterministic: all singles first, then doubles
 lexicographically with singlet before triplet.
 
 Each generator's terms are built in one pass over plain dicts, with the
-arithmetic (and so the bits) of FermionOperator's add_term, scaling and
-minus_hc: the raw terms canonicalized by fermion.normal_term and summed
-(the sums are small nonzero integers), the forward part scaled, then the
-skew dict: forward terms, then each adjoint as 0.0 + c * -1.0.
+arithmetic (and so the bits) of FermionOperator's add_term, then scaling,
+then subtracting the adjoint: the raw terms canonicalized by
+fermion.normal_term and summed (the sums are small nonzero integers), the
+forward part scaled, then the skew dict: forward terms, then each adjoint
+as 0.0 + c * -1.0.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .adapt import AdaptTrace
 from .fermion import FermionOperator, jordan_wigner
-from .pool import PoolOperator
+from .pool import PoolOperator, _skew_terms
 from .subspace import BasisRecipe
 
 STANDARD = "standard-trotter"
@@ -59,9 +59,8 @@ def _pair_count(cre: tuple[int, ...], ann: tuple[int, ...], scheme: str,
         return _CLOSED_FORMS[scheme][1](*distinct)
     # repeated spin orbital: no closed form in the non-degenerate tables
     if scheme == STANDARD:
-        op = FermionOperator()
-        op.add_term(1.0, cre, ann)
-        return _ladder_count(op.minus_hc(), n_qubits)
+        skew = FermionOperator(0.0, _skew_terms([(1.0, cre, ann)]))
+        return _ladder_count(skew, n_qubits)
     return _CLOSED_FORMS[scheme][1](*sorted(indices))
 
 

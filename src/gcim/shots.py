@@ -114,9 +114,9 @@ def _real(values: np.ndarray, what: str) -> np.ndarray:
 def exact_decomposition(basis: SubspaceBasis, h: PauliSum, i: int, j: int
                         ) -> EntryEstimator:
     """Per-term true expectations for entry (i, j) of the projected H."""
-    coeffs, values = pauli_expectations(basis.states[i:i + 1], h, basis.states[j:j + 1])
+    coeffs, values = pauli_expectations(basis.states[i], h, basis.states[j:j + 1])
     return EntryEstimator(_real(coeffs, "Hamiltonian coefficient"),
-                          _real(values[0, 0], "entry expectation"))
+                          _real(values[0], "entry expectation"))
 
 
 def _shot_array(counts) -> np.ndarray:
@@ -210,8 +210,8 @@ class MatrixEstimators:
         # one bra at a time: row i of the upper triangle is entries (i, i..d-1)
         p_values = np.empty((len(rows), len(h)))
         for i, start in enumerate(np.flatnonzero(cols == rows)):
-            coeffs, values = pauli_expectations(basis.states[i:i + 1], h, basis.states[i:])
-            p_values[start:start + d - i] = _real(values[0], "entry expectation")
+            coeffs, values = pauli_expectations(basis.states[i], h, basis.states[i:])
+            p_values[start:start + d - i] = _real(values, "entry expectation")
         return cls(d, _real(coeffs, "Hamiltonian coefficient"), p_values,
                    _real(s_mat[rows, cols], "overlap"))
 

@@ -30,8 +30,8 @@ that stack.  Generator exponentials are exact: the compiled generator splits
 into small connected blocks, each eigendecomposed once into spectral
 projectors, cached as one stacked sparse matrix, so exp(theta * A)|v> is one
 product with that stack and a sum weighted by sin(theta w) and
-cos(theta w) - 1.  The dense path exists separately as an oracle
-(pauli.jw_to_matrix).
+cos(theta w) - 1.  A dense 2^n matrix of a PauliSum is left to the tests,
+as their oracle.
 """
 
 from __future__ import annotations
@@ -560,18 +560,18 @@ def exp_apply(a: PauliSum, theta: float, v: StateVector) -> StateVector:
     return StateVector(v.space, v.data + (coeffs * terms).sum(axis=0))
 
 
-def pauli_expectations(bras: list[StateVector], h: PauliSum, kets: list[StateVector]
+def pauli_expectations(bra: StateVector, h: PauliSum, kets: list[StateVector]
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients c_k of h and every <bras[a]|P_k|kets[b]>, over the states'
-    one space: values (A, B, T), terms in h.sorted_terms() order, so
-    <bras[a]|h|kets[b]> = sum_k c_k values[a, b, k].  The strings sharing an
-    X mask x map j to j ^ x, so each group gathers the conjugated bras at the
+    """Coefficients c_k of h and every <bra|P_k|kets[b]>, over the states'
+    one space: values (B, T), terms in h.sorted_terms() order, so
+    <bra|h|kets[b]> = sum_k c_k values[b, k].  The strings sharing an X mask
+    x map j to j ^ x, so each group gathers the conjugated bra at the
     positions of the indices j ^ x once, zero where j ^ x leaves the space;
-    per pair its strings are one signed sum over conj(bra[j ^ x]) * ket[j].
-    That sum is the same product whatever the stack, so a pair's values do
+    per ket its strings are one signed sum over conj(bra[j ^ x]) * ket[j].
+    That sum is the same product whatever the kets, so a pair's values do
     not depend on what else is evaluated with it, to the last bit."""
-    space = kets[0].space
-    if any(v.space is not space for v in (*bras, *kets)) or h.n_qubits != space.n_qubits:
+    space = bra.space
+    if any(v.space is not space for v in kets) or h.n_qubits != space.n_qubits:
         raise ValueError("states on different spaces or registers")
     cache = _cache(h)
     if "terms" not in cache:
@@ -587,14 +587,13 @@ def pauli_expectations(bras: list[StateVector], h: PauliSum, kets: list[StateVec
              for x, ks in groups.items()])
     coeffs, groups = cache["terms"]
     idx = space.indices
-    bra_data = np.array([v.data for v in bras])
-    values = np.empty((len(bras), len(kets), coeffs.size), dtype=complex)
+    values = np.empty((len(kets), coeffs.size), dtype=complex)
     for x, ks, z, phase in groups:
         signs = _signs(idx, z)
         pos, inside = space.positions(idx ^ x)
-        for a, shifted in enumerate(np.where(inside, np.conj(bra_data[:, pos]), 0)):
-            for b, ket in enumerate(kets):
-                values[a, b, ks] = phase * (signs @ (shifted * ket.data))
+        shifted = np.where(inside, np.conj(bra.data[pos]), 0)
+        for b, ket in enumerate(kets):
+            values[b, ks] = phase * (signs @ (shifted * ket.data))
     return coeffs, values
 
 

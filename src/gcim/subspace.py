@@ -84,8 +84,8 @@ class SubspaceBasis:
     """Recipes plus their cached statevectors.
 
     For a recipe-built basis the cached states regenerate exactly from
-    (reference, pool, recipe); bases returned by orthogonalize_basis keep
-    their source recipes for provenance only.
+    (reference, pool, recipe); a basis built from other states keeps its
+    recipes for provenance only.
     build_matrices keeps its projected pair in `pair`.
     """
 
@@ -259,28 +259,6 @@ def overlap_deficit(a: StateVector, b: StateVector) -> float:
             raise ValueError("overlap_deficit expects normalized states")
     val = 1.0 - abs(a.inner(b)) ** 2
     return float(min(1.0, max(0.0, val)))
-
-
-def orthogonalize_basis(basis: SubspaceBasis) -> SubspaceBasis:
-    """Modified Gram-Schmidt (with re-orthogonalization) over cached states.
-
-    Vectors whose residual norm falls below 1e-10 are removed; the span is
-    preserved.
-    """
-    kept_states: list[StateVector] = []
-    kept_recipes: list[BasisRecipe] = []
-    for recipe, psi in zip(basis.recipes, basis.states):
-        v = psi.data
-        for _ in range(2):
-            for q in kept_states:
-                v = v - np.vdot(q.data, v) * q.data
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-10:
-            continue
-        kept_states.append(StateVector(psi.space, v / nrm))
-        kept_recipes.append(recipe)
-    return SubspaceBasis(reference=basis.reference, pool=basis.pool,
-                         recipes=kept_recipes, states=kept_states)
 
 
 def excitation_energies(result: GevpResult) -> list[float]:

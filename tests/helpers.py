@@ -1,8 +1,14 @@
-"""Shared oracles for the test suite.
+"""Shared references for the test suite.
 
-Everything here stays independent of the implementation paths it checks:
-dense matrices come from explicit Kronecker products or occupation-basis bit
-manipulation, never from the vectorized engine code.
+Besides random inputs and dense Kronecker, occupation-basis and
+eigendecomposition oracles, this module holds the Pauli and fermion
+operator algebra and the dense PauliSum matrix that the package itself no
+longer needs: string and sum products, sums, adjoints, commutators, skew
+closures and hermiticity predicates, jw_to_matrix and the Gram-Schmidt
+orthogonalization of a basis.  They keep the arithmetic they had as
+methods of PauliSum and FermionOperator, and none of them calls the engine
+paths it checks: products multiply strings one pair at a time, dense
+matrices come from bit manipulation, never from the vectorized kernels.
 """
 
 from __future__ import annotations
@@ -10,8 +16,152 @@ from __future__ import annotations
 import numpy as np
 
 from gcim.fermion import COEFF_CUTOFF, FermionOperator, jordan_wigner
-from gcim.pauli import PauliString, PauliSum
+from gcim.pauli import I_POWERS, PauliFormatError, PauliString, PauliSum, ResourceLimitError
 from gcim.pool import PoolOperator
+from gcim.statevector import StateVector
+from gcim.subspace import BasisRecipe, SubspaceBasis
+
+# ---------------------------------------------------------------------------
+# Pauli algebra
+
+
+def mask_mul(ax: int, az: int, bx: int, bz: int) -> tuple[complex, int, int]:
+    """Product of the strings (ax, az) * (bx, bz) = phase * (x, z) on bare masks."""
+    x, z = ax ^ bx, az ^ bz
+    # i^(ya+yb-yc) from Y bookkeeping, (-1)^(za.xb) from commuting Z past X
+    k = ((ax & az).bit_count() + (bx & bz).bit_count() - (x & z).bit_count()
+         + 2 * (az & bx).bit_count())
+    return I_POWERS[k % 4], x, z
+
+
+def pauli_mul(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
+    """Product a*b = phase * c with phase in {1, i, -1, -i}."""
+    if a.n != b.n:
+        raise ValueError(f"qubit-count mismatch: {a.n} vs {b.n}")
+    phase, x, z = mask_mul(a.x, a.z, b.x, b.z)
+    return phase, PauliString(x, z, a.n)
+
+
+def identity_string(n: int) -> PauliString:
+    return PauliString(0, 0, n)
+
+
+def identity_sum(n: int, coeff: complex = 1.0) -> PauliSum:
+    return PauliSum(n, {identity_string(n): coeff})
+
+
+def from_label_dict(d: dict[str, complex]) -> PauliSum:
+    if not d:
+        return PauliSum(0)
+    labels = list(d)
+    n = len(labels[0])
+    if any(len(s) != n for s in labels):
+        raise PauliFormatError("Pauli labels of unequal length")
+    return PauliSum(n, {PauliString.from_label(s): c for s, c in d.items()})
+
+
+def sum_add(a: PauliSum, b: PauliSum) -> PauliSum:
+    """a + b: b's coefficients added into a's dict in b's order."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("register size mismatch")
+    out = dict(a.terms)
+    for p, c in b.terms.items():
+        out[p] = out.get(p, 0j) + c
+    return PauliSum(a.n_qubits, out)
+
+
+def sum_sub(a: PauliSum, b: PauliSum) -> PauliSum:
+    return sum_add(a, sum_mul(b, -1.0))
+
+
+def sum_mul(a: PauliSum, other) -> PauliSum:
+    """a * other for a PauliSum (string products, a's terms outermost) or a
+    scalar; other * a for a scalar is the same."""
+    if isinstance(other, PauliSum):
+        if a.n_qubits != other.n_qubits:
+            raise ValueError("register size mismatch")
+        out: dict[PauliString, complex] = {}
+        for pa, ca in a.terms.items():
+            for pb, cb in other.terms.items():
+                ph, pc = pauli_mul(pa, pb)
+                out[pc] = out.get(pc, 0j) + ca * cb * ph
+        return PauliSum(a.n_qubits, out)
+    out = {p: c * other for p, c in a.terms.items()}
+    return PauliSum(a.n_qubits, out)
+
+
+def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
+    return sum_sub(sum_mul(a, b), sum_mul(b, a))
+
+
+def jw_to_matrix(h: PauliSum) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a PauliSum; qubit 0 least significant.
+
+    Brute-force oracle; refuses n > 16.
+    """
+    n = h.n_qubits
+    if n > 16:
+        raise ResourceLimitError(f"dense 2^{n} matrix exceeds the supported size")
+    dim = 1 << n
+    idx = np.arange(dim)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for p, c in h.terms.items():
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z) & 1)
+        mat[idx ^ p.x, idx] += c * (1j) ** p.y_count * signs
+    return mat
+
+
+# ---------------------------------------------------------------------------
+# fermion algebra
+
+
+def fermion_dagger(op: FermionOperator) -> FermionOperator:
+    out = FermionOperator(op.constant.conjugate())
+    for (cre, ann), c in op.terms.items():
+        out.add_term(c.conjugate(), tuple(reversed(ann)), tuple(reversed(cre)))
+    return out
+
+
+def fermion_add(a: FermionOperator, b: FermionOperator) -> FermionOperator:
+    out = FermionOperator(a.constant + b.constant, dict(a.terms))
+    for k, c in b.terms.items():
+        out.terms[k] = out.terms.get(k, 0.0) + c
+    return out.simplify()
+
+
+def fermion_mul(op: FermionOperator, scalar: complex) -> FermionOperator:
+    """op * scalar; scalar * op is the same."""
+    return FermionOperator(op.constant * scalar,
+                           {k: c * scalar for k, c in op.terms.items()})
+
+
+def fermion_sub(a: FermionOperator, b: FermionOperator) -> FermionOperator:
+    return fermion_add(a, fermion_mul(b, -1.0))
+
+
+def minus_hc(op: FermionOperator) -> FermionOperator:
+    """op - op† (skew-Hermitian closure; constants cancel to 2i Im)."""
+    return fermion_sub(op, fermion_dagger(op))
+
+
+def fermion_is_hermitian(op: FermionOperator, tol: float = 1e-12) -> bool:
+    return _sum_within(op, fermion_mul(fermion_dagger(op), -1.0), tol)
+
+
+def fermion_is_anti_hermitian(op: FermionOperator, tol: float = 1e-12) -> bool:
+    return _sum_within(op, fermion_dagger(op), tol)
+
+
+def _sum_within(a: FermionOperator, b: FermionOperator, tol: float) -> bool:
+    """Whether every coefficient of a + b is at most tol in modulus."""
+    total = dict(a.terms)
+    for k, c in b.terms.items():
+        total[k] = total.get(k, 0.0) + c
+    return all(abs(c) <= tol for c in (a.constant + b.constant, *total.values()))
+
+
+# ---------------------------------------------------------------------------
+# dense oracles
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -79,7 +229,7 @@ def _ladder_sum(p: int, n_qubits: int, creation: bool) -> PauliSum:
 
 
 def jordan_wigner_reference(op: FermionOperator, n_qubits: int) -> PauliSum:
-    """Product-form JW: ladder PauliSums multiplied with PauliSum.__mul__, summed.
+    """Product-form JW: ladder PauliSums multiplied with sum_mul, summed.
 
     The mask kernel in gcim.fermion must reproduce this term for term, in
     insertion order and bit for bit; its phases are checked separately
@@ -87,16 +237,16 @@ def jordan_wigner_reference(op: FermionOperator, n_qubits: int) -> PauliSum:
     """
     total = PauliSum(n_qubits)
     if abs(op.constant) >= COEFF_CUTOFF:
-        total = PauliSum.identity(n_qubits, op.constant)
+        total = identity_sum(n_qubits, op.constant)
     for (cre, ann), coeff in op.terms.items():
         if abs(coeff) < COEFF_CUTOFF:
             continue
-        prod = PauliSum.identity(n_qubits, coeff)
+        prod = identity_sum(n_qubits, coeff)
         for p in cre:
-            prod = prod * _ladder_sum(p, n_qubits, creation=True)
+            prod = sum_mul(prod, _ladder_sum(p, n_qubits, creation=True))
         for p in ann:
-            prod = prod * _ladder_sum(p, n_qubits, creation=False)
-        total = total + prod
+            prod = sum_mul(prod, _ladder_sum(p, n_qubits, creation=False))
+        total = sum_add(total, prod)
     return total
 
 
@@ -117,8 +267,6 @@ def random_hermitian_sum(rng: np.random.Generator, n: int, n_terms: int,
 
 
 def random_state(rng: np.random.Generator, n: int):
-    from gcim.statevector import StateVector
-
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return StateVector.from_array(amps / np.linalg.norm(amps))
 
@@ -148,7 +296,7 @@ def raw_single_pool_op(p_so: int, q_so: int, n_qubits: int) -> PoolOperator:
     """Bare skew single a+_p a_q - a+_q a_p over spin orbitals (not spin-adapted)."""
     op = FermionOperator()
     op.add_term(1.0, (p_so,), (q_so,))
-    skew = op.minus_hc().simplify()
+    skew = minus_hc(op).simplify()
     return PoolOperator(kind="single", spatial=(p_so, q_so), fermionic=skew,
                         qubit=jordan_wigner(skew, n_qubits),
                         label=f"raw({p_so},{q_so})")
@@ -213,3 +361,25 @@ def refined_grid_minimum(energies: np.ndarray) -> float:
     if curv <= 0:
         return float(e1)
     return float(e1 - (e2 - e0) ** 2 / (8.0 * curv))
+
+
+def orthogonalize_basis(basis: SubspaceBasis) -> SubspaceBasis:
+    """Modified Gram-Schmidt (with re-orthogonalization) over cached states.
+
+    Vectors whose residual norm falls below 1e-10 are removed; the span is
+    preserved.  The result keeps its source recipes for provenance only.
+    """
+    kept_states: list[StateVector] = []
+    kept_recipes: list[BasisRecipe] = []
+    for recipe, psi in zip(basis.recipes, basis.states):
+        v = psi.data
+        for _ in range(2):
+            for q in kept_states:
+                v = v - np.vdot(q.data, v) * q.data
+        nrm = np.linalg.norm(v)
+        if nrm < 1e-10:
+            continue
+        kept_states.append(StateVector(psi.space, v / nrm))
+        kept_recipes.append(recipe)
+    return SubspaceBasis(reference=basis.reference, pool=basis.pool,
+                         recipes=kept_recipes, states=kept_states)

@@ -33,19 +33,23 @@ from gcim import (
 )
 from gcim.adapt import select_operator
 from gcim.fermion import FermionOperator
-from gcim.pauli import PauliSum, jw_to_matrix
 from gcim.resources import GIVENS_FSWAP, REDUCED, STANDARD, cnot_count
 from gcim.shots import EntryEstimator, allocate_shots_is, hf_filter, sample_entry
 from gcim.statevector import StateVector, apply_paulisum, exp_apply
-from gcim.subspace import orthogonalize_basis
 
 from helpers import (
     dense_from_sum,
     grid_expectations,
+    identity_sum,
+    jw_to_matrix,
+    minus_hc,
+    orthogonalize_basis,
     random_hermitian_sum,
     random_molecular_hamiltonian,
     refined_grid_minimum,
     rotation_applier,
+    sum_add,
+    sum_mul,
 )
 
 
@@ -108,7 +112,7 @@ def _disjoint_givens_instance(rng):
         else:
             op.add_term(1.0, (chunk[0], chunk[1]), (chunk[2], chunk[3]))
             occupied.update(chunk[2:])
-        skew = op.minus_hc()
+        skew = minus_hc(op)
         ops.append(jordan_wigner(skew, n))
     for j in orbitals[idx:]:
         if rng.random() < 0.5:
@@ -173,7 +177,7 @@ def test_criterion_03_two_point_subspace_equals_grid_minimum():
         p, q = rng.choice(n, size=2, replace=False)
         op = FermionOperator()
         op.add_term(1.0, (int(p),), (int(q),))
-        gen = jordan_wigner(op.minus_hc(), n)
+        gen = jordan_wigner(minus_hc(op), n)
         occ = {int(q)} | {j for j in range(n)
                           if j not in (p, q) and rng.random() < 0.5}
         ref = StateVector.basis_state(n, sum(1 << j for j in occ))
@@ -277,15 +281,15 @@ def test_criterion_06_jordan_wigner_exactness():
         return jordan_wigner(op, n)
 
     n = 6
-    ident = PauliSum.identity(n)
+    ident = identity_sum(n)
     car_ok = True
     for p_i in range(n):
         ap = ladder(p_i, False, n)
         for q_i in range(n):
             aq, aqd = ladder(q_i, False, n), ladder(q_i, True, n)
-            anti = ap * aq + aq * ap
+            anti = sum_add(sum_mul(ap, aq), sum_mul(aq, ap))
             car_ok &= not anti.terms
-            anti2 = ap * aqd + aqd * ap
+            anti2 = sum_add(sum_mul(ap, aqd), sum_mul(aqd, ap))
             if p_i == q_i:
                 car_ok &= anti2.terms == ident.terms
             else:
@@ -460,7 +464,7 @@ def test_criterion_11_intermittent_truncated_optimization(data_dir):
 
 def test_criterion_12_molecular_golden_run(h4_path):
     h, pool, ref = _load_system(h4_path)
-    first_idx, _ = select_operator(ref, h, pool)
+    first_idx, _ = select_operator(ref, apply_paulisum(h, ref), pool)
     first_ok = pool[first_idx].label == "dS(0,1,2,3)"
     trace = run_algorithm(h, pool, ref, AdaptConfig(t_usr=10))
     trace.attach_exact(exact_spectrum(h, k=1))

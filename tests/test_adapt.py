@@ -20,7 +20,6 @@ from gcim.adapt import (
     vqe_loop,
     vqe_minimize,
 )
-from gcim.pauli import PauliSum
 from gcim.statevector import apply_paulisum, exp_apply, hf_state
 from gcim.subspace import (
     BasisRecipe,
@@ -32,6 +31,7 @@ from gcim.subspace import (
 
 from helpers import (
     dense_from_sum,
+    identity_sum,
     random_hermitian_sum,
     random_molecular_hamiltonian,
     random_state,
@@ -64,7 +64,7 @@ def test_config_validation():
 
 def test_select_identity_hamiltonian_tie_break(toy):
     h, pool, ref = toy
-    idx, grads = select_operator(ref, PauliSum.identity(4), pool)
+    idx, grads = select_operator(ref, apply_paulisum(identity_sum(4), ref), pool)
     assert idx == 0 and np.allclose(grads, 0.0)
 
 
@@ -79,18 +79,19 @@ def test_select_rounding_level_ties_go_to_lowest_index():
 
 def test_select_excludes_and_errors(toy):
     h, pool, ref = toy
-    idx, _ = select_operator(ref, h, pool)
-    idx2, _ = select_operator(ref, h, pool, excluded={idx})
+    w = apply_paulisum(h, ref)
+    idx, _ = select_operator(ref, w, pool)
+    idx2, _ = select_operator(ref, w, pool, excluded={idx})
     assert idx2 != idx
     with pytest.raises(ValueError, match="empty candidate"):
-        select_operator(ref, h, pool, excluded=set(range(len(pool))))
+        select_operator(ref, w, pool, excluded=set(range(len(pool))))
 
 
 def test_gradients_match_dense_commutator(toy):
     h, pool, ref = toy
     rng = np.random.default_rng(41)
     v = random_state(rng, 4)
-    grads = pool_gradients(v, h, pool)
+    grads = pool_gradients(v, apply_paulisum(h, v), pool)
     dense_h = dense_from_sum(h)
     for g, op in zip(grads, pool):
         a = dense_from_sum(op.qubit)
@@ -110,7 +111,7 @@ def test_brillouin_structural_zeros():
     occ_pair = raw_single_pool_op(2, 0, n)
     virt_pair = raw_single_pool_op(5, 3, n)
     mixed = raw_single_pool_op(4, 0, n)
-    grads = pool_gradients(ref, h, [occ_pair, virt_pair, mixed])
+    grads = pool_gradients(ref, apply_paulisum(h, ref), [occ_pair, virt_pair, mixed])
     assert grads[0] == pytest.approx(0.0, abs=1e-12)
     assert grads[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -573,6 +574,6 @@ def test_stacked_screen_equals_one_inner_per_operator(h4):
         w = apply_paulisum(h, state)
         want = np.array([2.0 * w.inner(apply_paulisum(op.qubit, state)).real
                          for op in pool])
-        got = pool_gradients(state, h, pool)
+        got = pool_gradients(state, w, pool)
         assert np.array_equal(got, want)
     assert np.any(got != 0.0)

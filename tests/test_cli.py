@@ -22,10 +22,12 @@ from gcim.cli import (
     load_config,
     main,
 )
-from gcim.pauli import jw_to_matrix, parse_pauli_json, pauli_sum_to_json
+from gcim.pauli import parse_pauli_json, pauli_sum_to_json
 from gcim.shots import ShotConfig
 from gcim.statevector import exact_spectrum
 from gcim.subspace import build_matrices
+
+from helpers import jw_to_matrix
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

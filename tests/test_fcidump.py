@@ -11,9 +11,8 @@ from gcim.fcidump import (
     parse_fcidump,
 )
 from gcim.fermion import FermionOperator, down, jordan_wigner, up
-from gcim.pauli import jw_to_matrix
 
-from helpers import fermion_dense
+from helpers import fermion_dagger, fermion_dense, fermion_is_hermitian, jw_to_matrix
 
 
 def test_parse_basic_fields():
@@ -142,9 +141,9 @@ def test_assemble_matches_bitwise_oracle():
     ints = SpatialIntegrals(n_orb=n, n_elec=2, ms2=0, core_energy=0.3,
                             one_body=one, two_body=two)
     h = assemble_hamiltonian(ints)
-    assert h.is_hermitian(1e-12)
+    assert fermion_is_hermitian(h, 1e-12)
     # conjugate closure holds exactly term by term (identical float sums)
-    assert h.terms == h.dagger().terms
+    assert h.terms == fermion_dagger(h).terms
     dense_jw = jw_to_matrix(jordan_wigner(h, 2 * n))
     # independent route: occupation-basis bit manipulation, no Pauli algebra
     oracle = FermionOperator(constant=ints.core_energy)

@@ -10,8 +10,9 @@ from gcim import (
     exact_spectrum,
     run_algorithm,
 )
-from gcim.pauli import jw_to_matrix
 from gcim.statevector import apply_paulisum
+
+from helpers import jw_to_matrix
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from gcim.fermion import FermionOperator
-from gcim.pauli import jw_to_matrix
 from gcim.pool import (
     DOUBLE_SINGLET,
     DOUBLE_TRIPLET,
@@ -22,8 +21,14 @@ from gcim.pool import (
 from gcim.statevector import apply_generators, apply_paulisum, hf_state
 
 from helpers import (
+    commutator,
     dense_from_sum,
     fermion_dense,
+    fermion_mul,
+    fermion_sub,
+    identity_sum,
+    jw_to_matrix,
+    minus_hc,
     number_operator,
     random_hermitian_sum,
     random_state,
@@ -43,12 +48,12 @@ def _table_operator(rows, norm):
     fwd = FermionOperator()
     for c, cre, ann in rows:
         fwd.add_term(c / norm, cre, ann)
-    return fwd.minus_hc().simplify()
+    return minus_hc(fwd).simplify()
 
 
 def _same_up_to_sign(a: FermionOperator, b: FermionOperator, tol=1e-12) -> bool:
     for sign in (1.0, -1.0):
-        diff = (a - sign * b).simplify()
+        diff = fermion_sub(a, fermion_mul(b, sign)).simplify()
         if not diff.terms and abs(diff.constant) < tol:
             return True
     return False
@@ -162,9 +167,7 @@ def test_pool_completeness_two_spatial():
 
 def test_gradient_operator_identity_commutes():
     pool = build_pool(2)
-    from gcim.pauli import PauliSum
-
-    assert not PauliSum.identity(4).commutator(pool[0].qubit).terms
+    assert not commutator(identity_sum(4), pool[0].qubit).terms
 
 
 def test_gradient_operator_dense_oracle():
@@ -172,7 +175,7 @@ def test_gradient_operator_dense_oracle():
     pool = build_pool(2)
     h = random_hermitian_sum(rng, 4, 8)
     for op in pool:
-        comm = h.commutator(op.qubit)
+        comm = commutator(h, op.qubit)
         expected = dense_from_sum(h) @ dense_from_sum(op.qubit) \
             - dense_from_sum(op.qubit) @ dense_from_sum(h)
         assert np.allclose(dense_from_sum(comm), expected, atol=1e-12)
@@ -184,7 +187,7 @@ def test_gradient_expectation_real():
     h = random_hermitian_sum(rng, 4, 8)
     v = random_state(rng, 4)
     for op in pool:
-        comm = h.commutator(op.qubit)
+        comm = commutator(h, op.qubit)
         val = np.vdot(v.amplitudes, apply_paulisum(comm, v).amplitudes)
         assert abs(val.imag) < 1e-10
 
@@ -228,7 +231,7 @@ def test_pool_requires_two_spatial():
 
 def _algebra_skew(raw):
     """The skew operator of one candidate by operator algebra: add_term,
-    simplify, sign and norm scale of the forward part, minus_hc().simplify();
+    simplify, sign and norm scale of the forward part, minus_hc(...).simplify();
     None where either part vanishes."""
     fwd = FermionOperator()
     for c, cre, ann in raw:
@@ -237,8 +240,8 @@ def _algebra_skew(raw):
     if not fwd.terms:
         return None
     coeffs = np.array([c.real for _, c in fwd.sorted_terms()])
-    skew = (fwd * (np.sign(fwd.sorted_terms()[0][1].real) / np.linalg.norm(coeffs))
-            ).minus_hc().simplify()
+    skew = minus_hc(fermion_mul(
+        fwd, np.sign(fwd.sorted_terms()[0][1].real) / np.linalg.norm(coeffs))).simplify()
     return skew if skew.terms else None
 
 

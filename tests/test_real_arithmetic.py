@@ -20,7 +20,7 @@ from gcim.fcidump import (
     parse_fcidump,
 )
 from gcim.fermion import jordan_wigner
-from gcim.pauli import jw_to_matrix, parse_pauli_json
+from gcim.pauli import parse_pauli_json
 from gcim.pool import build_pool
 from gcim.statevector import (
     StateVector,
@@ -34,12 +34,17 @@ from gcim.subspace import (
     BasisRecipe,
     SubspaceBasis,
     build_matrices,
-    orthogonalize_basis,
     prepare_state,
     solve_gevp,
 )
 
-from helpers import random_hermitian_sum, random_molecular_hamiltonian
+from helpers import (
+    jw_to_matrix,
+    orthogonalize_basis,
+    random_hermitian_sum,
+    random_molecular_hamiltonian,
+    sum_mul,
+)
 
 
 def _hubbard10_fcidump() -> str:
@@ -85,7 +90,7 @@ def test_fcidump_input_stays_float64(fcidump_system):
 
 def test_complex_generator_promotes_and_matches_the_dense_oracle():
     rng = np.random.default_rng(21)
-    a = random_hermitian_sum(rng, 4, 5) * 1j   # anti-Hermitian, complex matrix
+    a = sum_mul(random_hermitian_sum(rng, 4, 5), 1j)   # anti-Hermitian, complex matrix
     real_a = build_pool(2)[0].qubit
     v = StateVector.basis_state(4, 0b0101)
     assert v.data.dtype == np.float64
@@ -164,7 +169,7 @@ def test_screen_matches_one_inner_per_operator_real_and_complex(name, toy, h4):
         w = apply_paulisum(h, state)
         want = np.array([2.0 * w.inner(apply_paulisum(op.qubit, state)).real
                          for op in pool])
-        got = pool_gradients(state, h, pool)
+        got = pool_gradients(state, w, pool)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert np.any(got != 0.0)
 

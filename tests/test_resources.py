@@ -81,6 +81,8 @@ def test_pool_operator_standard_matches_pauli_ladder():
     # the generator's Jordan-Wigner strings, for every pool element
     from gcim.fermion import FermionOperator, jordan_wigner
 
+    from helpers import minus_hc
+
     for n_spatial in (2, 3, 4):
         pool = build_pool(n_spatial)
         for op in pool:
@@ -88,7 +90,7 @@ def test_pool_operator_standard_matches_pauli_ladder():
             for cre, ann, _ in op.forward_terms():
                 pair = FermionOperator()
                 pair.add_term(1.0, cre, ann)
-                image = jordan_wigner(pair.minus_hc(), op.n_qubits)
+                image = jordan_wigner(minus_hc(pair), op.n_qubits)
                 ladder += sum(2 * (p.weight - 1) for p in image.terms
                               if p.weight >= 2)
             assert cnot_count(op, STANDARD) == ladder, op.label

@@ -77,7 +77,9 @@ def test_exact_decomposition_reproduces_entry(toy):
 
 
 def test_exact_decomposition_matches_per_term_oracle(h4):
-    from gcim.pauli import PauliSum, jw_to_matrix
+    from gcim.pauli import PauliSum
+
+    from helpers import jw_to_matrix
 
     h, pool, ref = h4
     basis = SubspaceBasis(reference=ref, pool=pool)
@@ -99,9 +101,11 @@ def test_sector_p_values_match_full_register_oracle(data_dir):
     # toy U/t = 8 plus XIII and IZXI, which map every (1, 1) state out of the
     # sector: on the sector they read exactly 0, as their full-register
     # expectations between sector states do
-    from gcim.pauli import PauliSum, jw_to_matrix, parse_pauli_json
+    from gcim.pauli import PauliSum, parse_pauli_json
     from gcim.pool import build_pool
     from gcim.statevector import hf_state, pauli_expectations
+
+    from helpers import jw_to_matrix
 
     h = parse_pauli_json((data_dir / "toy_u8_sector_breaking.json").read_text())
     basis = SubspaceBasis(reference=hf_state(4, 1, 1), pool=build_pool(2))
@@ -109,7 +113,9 @@ def test_sector_p_values_match_full_register_oracle(data_dir):
         basis.append(r)
     space = basis.reference.space
     terms = h.sorted_terms()
-    coeffs, values = pauli_expectations(basis.states, h, basis.states)
+    # one bra per call: values[a, b, k] = <states[a]|P_k|states[b]>
+    rows = [pauli_expectations(bra, h, basis.states) for bra in basis.states]
+    coeffs, values = rows[0][0], np.array([v for _, v in rows])
     assert coeffs.tolist() == [c for _, c in terms]
     leaving = [k for k, (p, _) in enumerate(terms)
                if not space.positions(space.indices ^ p.x)[1].any()]

@@ -9,14 +9,13 @@ from gcim.subspace import (
     SubspaceBasis,
     build_matrices,
     excitation_energies,
-    orthogonalize_basis,
     overlap_deficit,
     prepare_state,
     reconstruct_state,
     solve_gevp,
 )
 
-from helpers import random_hermitian_sum, random_state, raw_single_pool_op, unitary_from_generator, dense_from_sum
+from helpers import random_hermitian_sum, random_state, raw_single_pool_op, unitary_from_generator, dense_from_sum, orthogonalize_basis, sum_mul
 
 
 def _toy_basis(toy, recipes):
@@ -81,7 +80,7 @@ def test_build_matrices_cache_follows_states_and_h(toy):
     basis.states.reverse()
     assert all(np.array_equal(a, b)
                for a, b in zip(build_matrices(basis, h), fresh(basis, h)))
-    doubled = 2.0 * h
+    doubled = sum_mul(h, 2.0)
     assert np.array_equal(build_matrices(basis, doubled)[0], fresh(basis, doubled)[0])
 
 
